@@ -1,8 +1,9 @@
 // Shared harness for the sweep-shaped paper benches.
 //
-// Wraps the common lifecycle: parse `threads=` / `json=` / `help=` keys,
-// run batches of NetworkSimConfig points on a SweepRunner, keep wall-clock
-// and simulated-cycle totals, and emit a machine-readable results file
+// Wraps the common lifecycle: parse the execution keys (SweepOptionsFromArgs,
+// app/sim_config_args.hpp) plus `json=` / `help=`, run batches of
+// NetworkSimConfig points on the selected backend, keep wall-clock and
+// simulated-cycle totals, and emit a machine-readable results file
 // (default bench_results.json) alongside the human-readable tables.
 //
 //   bench::SweepHarness sweep(argc, argv, "fig8_mesh_latency");
@@ -10,16 +11,14 @@
 //   ...print tables / claims...
 //   sweep.Finish();   // summary line + JSON
 //
-// Execution backends (mutually exclusive where noted):
+// Execution backends (SweepExecutor; server= excludes the other two):
 //   default            in-process SweepRunner thread pool
-//   checkpoint=DIR     same, backed by the content-addressed result store
-//                      at DIR — interrupted benches resume, and any bench
-//                      pointed at the same DIR shares completed points
-//   isolate=process    crash-isolated subprocess execution (composable
-//                      with checkpoint=)
+//   checkpoint=DIR     backed by the content-addressed result store at DIR
+//                      — interrupted benches resume, and any bench pointed
+//                      at the same DIR shares completed points
+//   isolate=process    crash-isolated subprocess execution
 //   server=SOCK        points are served by a running vixnocd daemon over
-//                      its Unix socket (exclusive with checkpoint= and
-//                      isolate=process — the daemon owns its own store)
+//                      its Unix socket (the daemon owns its own store)
 #pragma once
 
 #include <chrono>
@@ -30,13 +29,10 @@
 #include <utility>
 #include <vector>
 
+#include "app/sim_config_args.hpp"
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "exec/coordinator.hpp"
-#include "server/client.hpp"
-#include "sim/sweep.hpp"
-#include "store/result_store.hpp"
 #include "traffic/patterns.hpp"
 
 namespace vixnoc::bench {
@@ -62,11 +58,7 @@ class SweepHarness {
     Init(args, default_json, extra_usage);
   }
 
-  int threads() const {
-    // server= mode has no local pool; report the requested key (0 = auto)
-    // so the summary/JSON stay truthful about local compute.
-    return runner_ != nullptr ? runner_->num_threads() : threads_;
-  }
+  int threads() const { return exec_->threads(); }
 
   /// Runs one batch of points in parallel; may be called repeatedly. Wall
   /// clock and per-point records accumulate across calls. With
@@ -77,59 +69,30 @@ class SweepHarness {
   std::vector<NetworkSimResult> Run(
       const std::vector<NetworkSimConfig>& points) {
     const auto start = std::chrono::steady_clock::now();
-    std::vector<NetworkSimResult> results;
-    if (client_ != nullptr) {
-      results = RunViaServer(points);
-    } else if (isolate_process_) {
-      // Crash-isolated path: points run in vixnoc_sweep_worker
-      // subprocesses with classification, retries and graceful
-      // degradation (exec/coordinator.hpp). Results are merged in
-      // submission order, so the table below is identical to the
-      // in-process path's whenever no point crashes out.
-      ExecPolicy policy;
-      policy.num_workers = threads_;
-      policy.point_timeout_seconds = point_timeout_;
-      policy.max_retries = retries_;
-      policy.cache = store_;
-      SweepCoordinator coordinator(policy);
-      SweepExecResult exec = coordinator.Run(points);
-      results = std::move(exec.results);
-      resumed_points_ += exec.cached_points;
-      defective_cache_points_ += exec.defective_cache_points;
-      deduped_points_ += exec.deduped_points;
-      exec_.crashes += exec.crashes;
-      exec_.timeouts += exec.timeouts;
-      exec_.bad_frames += exec.bad_frames;
-      exec_.spawn_failures += exec.spawn_failures;
-      exec_.retries += exec.retries;
-      exec_.workers_spawned += exec.workers_spawned;
-      exec_.exhausted_points += exec.exhausted_points;
-      exec_.fallback_points += exec.fallback_points;
-      exec_.cached_points += exec.cached_points;
-      for (const WorkerEvent& ev : exec.events) {
-        worker_events_.push_back(ToString(ev.kind) + " slot " +
-                                 std::to_string(ev.slot) + " pid " +
-                                 std::to_string(ev.pid) +
-                                 (ev.detail.empty() ? "" : ": " + ev.detail));
-      }
-      exec_points_.insert(exec_points_.end(), exec.points.begin(),
-                          exec.points.end());
-    } else {
-      results = runner_->Run(points);
-      resumed_points_ += runner_->resumed_points();
-      defective_cache_points_ += runner_->defective_cache_points();
-      deduped_points_ += runner_->deduped_points();
-    }
+    SweepExecResult batch = exec_->Run(points);
     wall_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const NetworkSimConfig& c = points[i];
+    for (const NetworkSimConfig& c : points) {
       sim_cycles_ += static_cast<std::uint64_t>(c.warmup) + c.measure +
                      c.drain;
-      records_.emplace_back(c, results[i]);
+      configs_.push_back(c);
     }
-    return results;
+    total_.results.insert(total_.results.end(), batch.results.begin(),
+                          batch.results.end());
+    total_.points.insert(total_.points.end(), batch.points.begin(),
+                         batch.points.end());
+    total_.events.insert(total_.events.end(), batch.events.begin(),
+                         batch.events.end());
+    using R = SweepExecResult;
+    for (std::uint64_t R::*tally :
+         {&R::crashes, &R::timeouts, &R::bad_frames, &R::spawn_failures,
+          &R::retries, &R::workers_spawned, &R::exhausted_points,
+          &R::fallback_points, &R::cached_points, &R::defective_cache_points,
+          &R::deduped_points}) {
+      total_.*tally += batch.*tally;
+    }
+    return std::move(batch.results);
   }
 
   /// Prints the sweep summary and writes the JSON results file. Returns a
@@ -139,7 +102,7 @@ class SweepHarness {
     std::printf(
         "\nsweep: %zu points on %d thread(s) in %.2fs "
         "(%.0f network-cycles/s)\n",
-        records_.size(), threads(), wall_seconds_,
+        configs_.size(), threads(), wall_seconds_,
         wall_seconds_ > 0 ? static_cast<double>(sim_cycles_) / wall_seconds_
                           : 0.0);
     if (json_path_.empty()) return 0;
@@ -153,53 +116,64 @@ class SweepHarness {
     // many cache entries were found defective and re-run, and how many
     // duplicate in-batch points were satisfied by copying a canonical
     // slot's result instead of re-simulating.
-    std::string provenance =
-        "  \"deduped_points\": " + std::to_string(deduped_points_) + ",\n";
-    if (!checkpoint_dir_.empty()) {
-      provenance += "  \"checkpoint_dir\": \"" + EscapeJson(checkpoint_dir_) +
+    const SweepOptions& opt = exec_->options();
+    std::string provenance = "  \"deduped_points\": " +
+                             std::to_string(total_.deduped_points) + ",\n";
+    if (!opt.checkpoint.empty()) {
+      provenance += "  \"checkpoint_dir\": \"" + EscapeJson(opt.checkpoint) +
                     "\",\n  \"resumed_points\": " +
-                    std::to_string(resumed_points_) +
+                    std::to_string(total_.cached_points) +
                     ",\n  \"defective_cache_points\": " +
-                    std::to_string(defective_cache_points_) + ",\n";
+                    std::to_string(total_.defective_cache_points) + ",\n";
     }
-    if (client_ != nullptr) {
+    if (!opt.server.empty()) {
       // Service provenance: which vixnocd daemon served the sweep and how
       // each point was satisfied (store hit / fresh compute / coalesced
       // onto another client's in-flight computation).
+      const std::uint64_t computed =
+          total_.results.size() - total_.cached_points -
+          total_.deduped_points - total_.exhausted_points;
       provenance += "  \"server\": {\"socket\": \"" +
-                    EscapeJson(client_->socket_path()) +
-                    "\", \"store_hits\": " + std::to_string(server_hits_) +
-                    ", \"computed\": " + std::to_string(server_computed_) +
-                    ", \"coalesced\": " + std::to_string(server_coalesced_) +
-                    ", \"retries\": " + std::to_string(server_retries_) +
+                    EscapeJson(opt.server) +
+                    "\", \"store_hits\": " +
+                    std::to_string(total_.cached_points) +
+                    ", \"computed\": " + std::to_string(computed) +
+                    ", \"coalesced\": " +
+                    std::to_string(total_.deduped_points) +
+                    ", \"retries\": " + std::to_string(total_.retries) +
                     "},\n";
     }
-    if (isolate_process_) {
+    if (opt.isolate_process) {
       // Process-isolation provenance: how the batch was executed at the
       // subprocess level — retry/crash/timeout tallies plus the worker
       // lifecycle event log — so a results file records not just the
       // numbers but how reliably they were produced.
       provenance += "  \"exec\": {\"isolate\": \"process\", "
-                    "\"point_timeout\": " + Num(point_timeout_) +
-                    ", \"retries\": " + std::to_string(retries_) +
+                    "\"point_timeout\": " + Num(opt.point_timeout) +
+                    ", \"retries\": " + std::to_string(opt.retries) +
                     ", \"workers_spawned\": " +
-                    std::to_string(exec_.workers_spawned) +
-                    ", \"crashes\": " + std::to_string(exec_.crashes) +
-                    ", \"timeouts\": " + std::to_string(exec_.timeouts) +
-                    ", \"bad_frames\": " + std::to_string(exec_.bad_frames) +
+                    std::to_string(total_.workers_spawned) +
+                    ", \"crashes\": " + std::to_string(total_.crashes) +
+                    ", \"timeouts\": " + std::to_string(total_.timeouts) +
+                    ", \"bad_frames\": " + std::to_string(total_.bad_frames) +
                     ", \"spawn_failures\": " +
-                    std::to_string(exec_.spawn_failures) +
+                    std::to_string(total_.spawn_failures) +
                     ", \"retries_performed\": " +
-                    std::to_string(exec_.retries) +
+                    std::to_string(total_.retries) +
                     ", \"exhausted_points\": " +
-                    std::to_string(exec_.exhausted_points) +
+                    std::to_string(total_.exhausted_points) +
                     ", \"fallback_points\": " +
-                    std::to_string(exec_.fallback_points) +
+                    std::to_string(total_.fallback_points) +
                     ", \"cached_points\": " +
-                    std::to_string(exec_.cached_points) +
+                    std::to_string(total_.cached_points) +
                     ",\n    \"worker_events\": [";
-      for (std::size_t i = 0; i < worker_events_.size(); ++i) {
-        provenance += (i ? ", \"" : "\"") + EscapeJson(worker_events_[i]) +
+      for (std::size_t i = 0; i < total_.events.size(); ++i) {
+        const WorkerEvent& ev = total_.events[i];
+        provenance += std::string(i ? ", \"" : "\"") +
+                      EscapeJson(ToString(ev.kind) + " slot " +
+                                 std::to_string(ev.slot) + " pid " +
+                                 std::to_string(ev.pid) +
+                                 (ev.detail.empty() ? "" : ": " + ev.detail)) +
                       "\"";
       }
       provenance += "]},\n";
@@ -216,16 +190,16 @@ class SweepHarness {
                  "  \"sim_cycles_per_second\": %s,\n"
                  "  \"results\": [\n",
                  bench_name_.c_str(), BuildFlagsJson().c_str(), threads(),
-                 records_.size(),
+                 configs_.size(),
                  provenance.c_str(), Num(wall_seconds_).c_str(),
                  static_cast<unsigned long long>(sim_cycles_),
                  Num(wall_seconds_ > 0
                          ? static_cast<double>(sim_cycles_) / wall_seconds_
                          : 0.0)
                      .c_str());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const NetworkSimConfig& c = records_[i].first;
-      const NetworkSimResult& r = records_[i].second;
+    for (std::size_t i = 0; i < configs_.size(); ++i) {
+      const NetworkSimConfig& c = configs_[i];
+      const NetworkSimResult& r = total_.results[i];
       // Failed points (invalid config, deadlock, undeliverable traffic)
       // keep their slot with a status and message instead of silently
       // vanishing or poisoning the table with zeros.
@@ -235,11 +209,11 @@ class SweepHarness {
         outcome_json +=
             ", \"message\": \"" + EscapeJson(r.outcome.message) + "\"";
       }
-      if (i < exec_points_.size()) {
+      if (opt.isolate_process) {
         // Per-point execution provenance in process-isolation mode:
         // subprocess attempts and, when the point ever failed at the
         // process level, the classified cause.
-        const ExecStatus& es = exec_points_[i];
+        const ExecStatus& es = total_.points[i];
         outcome_json += ", \"attempts\": " + std::to_string(es.attempts);
         if (es.from_cache) outcome_json += ", \"from_cache\": true";
         if (es.in_process_fallback) {
@@ -289,7 +263,7 @@ class SweepHarness {
           Num(r.accepted_ppc).c_str(), Num(r.avg_latency).c_str(),
           Num(r.p99_latency).c_str(), Num(r.max_min_ratio).c_str(),
           r.saturated ? "true" : "false", outcome_json.c_str(),
-          i + 1 < records_.size() ? "," : "");
+          i + 1 < configs_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -328,96 +302,27 @@ class SweepHarness {
           default_json.c_str(), extra_usage.c_str());
       std::exit(0);
     }
-    threads_ = static_cast<int>(args.GetInt("threads", 0));
     json_path_ = args.GetString("json", default_json);
-    checkpoint_dir_ = args.GetString("checkpoint", "");
-    server_socket_ = args.GetString("server", "");
-    const std::string isolate = args.GetString("isolate", "thread");
-    if (isolate != "thread" && isolate != "process") {
-      std::fprintf(stderr, "isolate=%s is not 'thread' or 'process'\n",
-                   isolate.c_str());
-      std::exit(2);
-    }
-    isolate_process_ = isolate == "process";
-    if (!server_socket_.empty() &&
-        (!checkpoint_dir_.empty() || isolate_process_)) {
-      std::fprintf(stderr,
-                   "server= is mutually exclusive with checkpoint= and "
-                   "isolate=process (the daemon owns its own store)\n");
-      std::exit(2);
-    }
-    point_timeout_ = args.GetDouble("point_timeout", 0.0);
-    retries_ = static_cast<int>(args.GetInt("retries", 2));
-    if (!server_socket_.empty()) {
-      try {
-        client_ = std::make_unique<SimClient>(server_socket_, 10.0);
-      } catch (const SimError& e) {
-        std::fprintf(stderr, "cannot reach vixnocd at %s: %s\n",
-                     server_socket_.c_str(), e.what());
-        std::exit(1);
-      }
-    } else {
-      if (!checkpoint_dir_.empty()) {
-        store_ = std::make_shared<ResultStore>(checkpoint_dir_);
-      }
-      runner_ = std::make_unique<SweepRunner>(threads_);
-      if (store_ != nullptr) runner_->SetCache(store_);
+    SweepOptions options;
+    if (!SweepOptionsFromArgs(args, &options)) std::exit(2);
+    try {
+      exec_ = std::make_unique<SweepExecutor>(options);
+    } catch (const SimError& e) {
+      std::fprintf(stderr, "bench_%s: %s\n", bench_name_.c_str(), e.what());
+      std::exit(1);
     }
     WarnIfDebugBuild(bench_name_);
   }
 
-  std::vector<NetworkSimResult> RunViaServer(
-      const std::vector<NetworkSimConfig>& points) {
-    std::vector<NetworkSimResult> results(points.size());
-    std::vector<PointReply> replies = client_->Batch(points);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      // Daemon-at-capacity slots are re-asked individually with the
-      // daemon's own backoff hint.
-      while (replies[i].status == ServeStatus::kRetryAfter) {
-        ++server_retries_;
-        replies[i] = client_->PointWithRetry(points[i]);
-        if (server_retries_ > 10'000) break;  // daemon permanently saturated
-      }
-      const PointReply& r = replies[i];
-      if (r.status != ServeStatus::kOk) {
-        results[i].outcome.status = SimStatus::kExecFailure;
-        results[i].outcome.message = "daemon: " + r.message;
-        continue;
-      }
-      results[i] = std::move(replies[i].result);
-      server_hits_ += r.source == ServeSource::kStore;
-      server_computed_ += r.source == ServeSource::kComputed;
-      server_coalesced_ += r.source == ServeSource::kCoalesced;
-    }
-    return results;
-  }
-
   std::string bench_name_;
   std::string json_path_;
-  std::string checkpoint_dir_;
-  std::string server_socket_;
-  int threads_ = 0;
-  bool isolate_process_ = false;
-  double point_timeout_ = 0.0;
-  int retries_ = 2;
-  std::size_t resumed_points_ = 0;
-  std::uint64_t defective_cache_points_ = 0;
-  std::size_t deduped_points_ = 0;
-  std::uint64_t server_hits_ = 0;
-  std::uint64_t server_computed_ = 0;
-  std::uint64_t server_coalesced_ = 0;
-  std::uint64_t server_retries_ = 0;
-  std::shared_ptr<ResultStore> store_;
-  std::unique_ptr<SimClient> client_;
-  std::unique_ptr<SweepRunner> runner_;
+  std::unique_ptr<SweepExecutor> exec_;
   double wall_seconds_ = 0.0;
   std::uint64_t sim_cycles_ = 0;
-  std::vector<std::pair<NetworkSimConfig, NetworkSimResult>> records_;
-  // Process-isolation accumulators (cross-batch sums + per-point records
-  // parallel to records_; empty in isolate=thread mode).
-  SweepExecResult exec_;
-  std::vector<ExecStatus> exec_points_;
-  std::vector<std::string> worker_events_;
+  // Every batch so far: configs_ and total_.results / total_.points are
+  // parallel, total_'s tallies are sums over the batches.
+  std::vector<NetworkSimConfig> configs_;
+  SweepExecResult total_;
 };
 
 }  // namespace vixnoc::bench

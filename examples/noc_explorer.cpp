@@ -19,43 +19,41 @@
 // isolate=thread|process point_timeout=<seconds> retries=<N>
 // server=<socket>
 //
+// The execution keys threads= checkpoint= isolate= point_timeout=
+// retries= server= are the same as the benches' (app/sim_config_args.hpp):
+//
 // server=SOCK sends every point to a running vixnocd daemon instead of
 // simulating locally: hits in the daemon's content-addressed store come
 // back without any computation, misses are computed once daemon-side no
 // matter how many clients ask. Mutually exclusive with checkpoint= and
 // isolate=process (the daemon owns the cache and the compute pool).
 //
-// threads=N sets the SweepRunner worker count for sweep=1 (default 0 =
+// threads=N sets the worker count for sweep=1 (default 0 =
 // $VIXNOC_THREADS if set, else all cores); results are identical to a
 // serial sweep regardless of thread count.
 //
 // isolate=process runs each sweep point in a vixnoc_sweep_worker
-// subprocess via SweepCoordinator: a point that segfaults, aborts, or
-// hangs past point_timeout= seconds is killed, classified, and retried
-// up to retries= times with exponential backoff; the rest of the sweep
-// always completes, and surviving points stay bitwise identical to the
+// subprocess: a point that segfaults, aborts, or hangs past
+// point_timeout= seconds is killed, classified, and retried up to
+// retries= times with exponential backoff; the rest of the sweep always
+// completes, and surviving points stay bitwise identical to the
 // in-process path.
 //
 // Checkpointing: in single-run mode, checkpoint=path checkpoint_every=N
 // saves the full simulation state every N cycles (atomic overwrite), and
 // restore=path resumes a run from such a file — the resumed run's output
 // is bitwise identical to an uninterrupted one. In sweep mode,
-// checkpoint=dir caches each completed point's result under the directory,
-// so re-running the same command after an interruption only simulates the
-// missing points.
+// checkpoint=dir is a content-addressed result store, so re-running the
+// same command after an interruption only simulates the missing points.
+#include <cinttypes>
 #include <cstdio>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "app/sim_config_args.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
-#include "exec/coordinator.hpp"
-#include "server/client.hpp"
-#include "sim/sweep.hpp"
-#include "store/result_store.hpp"
+#include "common/error.hpp"
 
 using namespace vixnoc;
 
@@ -86,6 +84,37 @@ std::vector<std::string> CsvRow(const NetworkSimConfig& config,
           std::to_string(r.saturated ? 1 : 0)};
 }
 
+/// How the batch was executed, when there is something to say.
+void PrintExecSummary(const SweepOptions& options, const SweepExecResult& e) {
+  const std::uint64_t n = e.results.size();
+  if (!options.server.empty()) {
+    std::printf("served by %s: %" PRIu64 " store hits, %" PRIu64
+                " computed, %" PRIu64 " coalesced\n",
+                options.server.c_str(), e.cached_points,
+                n - e.cached_points - e.deduped_points - e.exhausted_points,
+                e.deduped_points);
+    return;
+  }
+  if (e.cached_points > 0) {
+    std::printf("resumed %" PRIu64 "/%" PRIu64 " points from %s\n",
+                e.cached_points, n, options.checkpoint.c_str());
+  }
+  if (e.defective_cache_points > 0) {
+    std::printf("re-ran %" PRIu64
+                " point(s) whose cache entries were defective\n",
+                e.defective_cache_points);
+  }
+  if (e.crashes + e.timeouts + e.bad_frames + e.spawn_failures > 0) {
+    std::printf("exec: %" PRIu64 " crash(es), %" PRIu64 " timeout(s), %" PRIu64
+                " bad frame(s), %" PRIu64 " spawn failure(s); %" PRIu64
+                " retr%s, %" PRIu64 " point(s) exhausted, %" PRIu64
+                " ran in-process\n",
+                e.crashes, e.timeouts, e.bad_frames, e.spawn_failures,
+                e.retries, e.retries == 1 ? "y" : "ies", e.exhausted_points,
+                e.fallback_points);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -102,28 +131,12 @@ int main(int argc, char** argv) {
   if (!SimConfigFromArgs(args, &config)) return 2;
   const bool sweep = args.GetBool("sweep", false);
   const std::string csv_path = args.GetString("csv", "");
-  const int threads =
-      ResolveThreadCount(static_cast<int>(args.GetInt("threads", 0)));
-  const std::string checkpoint = args.GetString("checkpoint", "");
-  const std::string isolate = args.GetString("isolate", "thread");
-  if (isolate != "thread" && isolate != "process") {
-    std::fprintf(stderr, "isolate=%s is not 'thread' or 'process'\n",
-                 isolate.c_str());
-    return 2;
-  }
-  const double point_timeout = args.GetDouble("point_timeout", 0.0);
-  const int retries = static_cast<int>(args.GetInt("retries", 2));
-  const std::string server = args.GetString("server", "");
-  if (!server.empty() && (!checkpoint.empty() || isolate == "process")) {
-    std::fprintf(stderr,
-                 "server= is mutually exclusive with checkpoint= and "
-                 "isolate=process (the daemon owns cache and compute)\n");
-    return 2;
-  }
+  SweepOptions options;
+  if (!SweepOptionsFromArgs(args, &options)) return 2;
   config.checkpoint_every =
       static_cast<Cycle>(args.GetInt("checkpoint_every", 0));
   config.restore_path = args.GetString("restore", "");
-  if (!sweep) config.checkpoint_path = checkpoint;
+  if (!sweep) config.checkpoint_path = options.checkpoint;
   if (!config.checkpoint_path.empty() && config.checkpoint_every == 0) {
     config.checkpoint_every = 1'000;  // a sensible default cadence
   }
@@ -138,100 +151,29 @@ int main(int argc, char** argv) {
                       "p99_latency", "max_min_ratio", "saturated"});
   }
 
-  if (sweep) {
-    std::vector<NetworkSimConfig> points;
-    for (double rate = 0.02; rate <= config.MaxInjectionRate() + 1e-9;
-         rate += 0.01) {
-      config.injection_rate = rate;
-      points.push_back(config);
-    }
-    std::vector<NetworkSimResult> results;
-    if (!server.empty()) {
-      SimClient client(server, 10.0);
-      const std::vector<PointReply> replies = client.Batch(points);
-      std::size_t hits = 0, computed = 0, coalesced = 0;
-      results.resize(points.size());
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        PointReply reply = replies[i];
-        while (reply.status == ServeStatus::kRetryAfter) {
-          reply = client.PointWithRetry(points[i]);
-        }
-        if (reply.status != ServeStatus::kOk) {
-          std::fprintf(stderr, "point %zu failed daemon-side: %s\n", i,
-                       reply.message.c_str());
-          results[i].outcome.status = SimStatus::kExecFailure;
-          results[i].outcome.message = reply.message;
-          continue;
-        }
-        results[i] = std::move(reply.result);
-        hits += reply.source == ServeSource::kStore;
-        computed += reply.source == ServeSource::kComputed;
-        coalesced += reply.source == ServeSource::kCoalesced;
-      }
-      std::printf("served by %s: %zu store hits, %zu computed, "
-                  "%zu coalesced\n",
-                  server.c_str(), hits, computed, coalesced);
-    } else if (isolate == "process") {
-      ExecPolicy policy;
-      policy.num_workers = threads;
-      policy.point_timeout_seconds = point_timeout;
-      policy.max_retries = retries;
-      policy.checkpoint_dir = checkpoint;
-      SweepCoordinator coordinator(policy);
-      SweepExecResult exec = coordinator.Run(points);
-      results = std::move(exec.results);
-      if (exec.cached_points > 0) {
-        std::printf("resumed %llu/%zu points from %s\n",
-                    static_cast<unsigned long long>(exec.cached_points),
-                    points.size(), checkpoint.c_str());
-      }
-      if (exec.crashes + exec.timeouts + exec.bad_frames +
-              exec.spawn_failures >
-          0) {
-        std::printf(
-            "exec: %llu crash(es), %llu timeout(s), %llu bad frame(s), "
-            "%llu spawn failure(s); %llu retr%s, %llu point(s) exhausted, "
-            "%llu ran in-process\n",
-            static_cast<unsigned long long>(exec.crashes),
-            static_cast<unsigned long long>(exec.timeouts),
-            static_cast<unsigned long long>(exec.bad_frames),
-            static_cast<unsigned long long>(exec.spawn_failures),
-            static_cast<unsigned long long>(exec.retries),
-            exec.retries == 1 ? "y" : "ies",
-            static_cast<unsigned long long>(exec.exhausted_points),
-            static_cast<unsigned long long>(exec.fallback_points));
-      }
-    } else {
-      SweepRunner runner(threads);
-      if (!checkpoint.empty()) {
-        runner.SetCache(std::make_shared<ResultStore>(checkpoint));
-      }
-      results = runner.Run(points);
-      if (runner.resumed_points() > 0) {
-        std::printf("resumed %zu/%zu points from %s\n",
-                    runner.resumed_points(), points.size(),
-                    checkpoint.c_str());
-      }
-      if (runner.defective_cache_points() > 0) {
-        std::printf("re-ran %zu point(s) whose cache entries were "
-                    "defective\n",
-                    runner.defective_cache_points());
-      }
-    }
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      PrintResult(points[i], results[i]);
-      if (csv) csv->AddRow(CsvRow(points[i], results[i]));
-    }
-  } else if (!server.empty()) {
-    SimClient client(server, 10.0);
-    const PointReply reply = client.PointWithRetry(config);
-    if (reply.status != ServeStatus::kOk) {
-      std::fprintf(stderr, "daemon-side failure: %s\n",
-                   reply.message.c_str());
+  if (sweep || !options.server.empty()) {
+    // A sweep, or a single point served by a daemon: one batch through
+    // the executor the options select.
+    const std::vector<NetworkSimConfig> points =
+        sweep ? RateGrid(config) : std::vector<NetworkSimConfig>{config};
+    SweepExecResult exec;
+    try {
+      exec = SweepExecutor(options).Run(points);
+    } catch (const SimError& e) {
+      std::fprintf(stderr, "noc_explorer: %s\n", e.what());
       return 1;
     }
-    PrintResult(config, reply.result);
-    if (csv) csv->AddRow(CsvRow(config, reply.result));
+    PrintExecSummary(options, exec);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (!options.server.empty() &&
+          exec.results[i].outcome.status == SimStatus::kExecFailure) {
+        std::fprintf(stderr, "point %zu failed daemon-side: %s\n", i,
+                     exec.points[i].failure_detail.c_str());
+        if (!sweep) return 1;
+      }
+      PrintResult(points[i], exec.results[i]);
+      if (csv) csv->AddRow(CsvRow(points[i], exec.results[i]));
+    }
   } else {
     const auto r = RunNetworkSim(config);
     PrintResult(config, r);

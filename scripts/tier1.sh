@@ -50,7 +50,7 @@ echo "== tier1: ThreadSanitizer sweep_test (${PREFIX}-tsan) =="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j --target sweep_test alloc_equiv_test \
-  routing_test serenade_test store_test server_test
+  routing_test serenade_test store_test server_test exec_test
 "${PREFIX}-tsan/tests/sweep_test"
 # alloc_equiv_test now sweeps radixes 2..70 (multi-word rows included), so
 # the large-radix word-parallel paths run under the sanitizer too.
@@ -68,6 +68,9 @@ cmake --build "${PREFIX}-tsan" -j --target sweep_test alloc_equiv_test \
 # drain logic — the whole service layer must be race-free.
 "${PREFIX}-tsan/tests/store_test"
 "${PREFIX}-tsan/tests/server_test"
+# exec_test: the coordinator runs on SweepRunner threads that borrow
+# workers from a shared per-batch pool — its bookkeeping must be race-free.
+"${PREFIX}-tsan/tests/exec_test"
 
 echo "== tier1: ASan+UBSan fault/robustness tests (${PREFIX}-asan) =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

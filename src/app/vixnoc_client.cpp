@@ -47,39 +47,45 @@ void PrintPoint(const NetworkSimConfig& config, const PointReply& reply) {
       ToString(reply.source).c_str());
 }
 
+/// The daemon's reply to one slot of a sweep, recovered from the
+/// executor's per-point record.
+PointReply SweepReply(const SweepExecResult& exec, std::size_t i) {
+  PointReply reply;
+  const ExecStatus& st = exec.points[i];
+  if (exec.results[i].outcome.status == SimStatus::kExecFailure) {
+    reply.status = ServeStatus::kError;
+    reply.message = st.failure_detail;
+    return reply;
+  }
+  reply.result = exec.results[i];
+  reply.source = st.from_cache ? ServeSource::kStore
+                 : st.deduped  ? ServeSource::kCoalesced
+                               : ServeSource::kComputed;
+  return reply;
+}
+
 void WriteSweepJson(const std::string& path, const std::string& socket,
                     const std::vector<NetworkSimConfig>& points,
-                    const std::vector<PointReply>& replies,
-                    std::uint64_t retries) {
+                    const SweepExecResult& exec) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "vixnoc_client: cannot write %s\n", path.c_str());
     return;
   }
-  std::uint64_t store_hits = 0, computed = 0, coalesced = 0, errors = 0;
-  for (const PointReply& r : replies) {
-    if (r.status != ServeStatus::kOk) {
-      ++errors;
-    } else if (r.source == ServeSource::kStore) {
-      ++store_hits;
-    } else if (r.source == ServeSource::kComputed) {
-      ++computed;
-    } else if (r.source == ServeSource::kCoalesced) {
-      ++coalesced;
-    }
-  }
+  const std::uint64_t computed = points.size() - exec.cached_points -
+                                 exec.deduped_points - exec.exhausted_points;
   std::fprintf(f, "{\n  \"bench\": \"vixnoc_client_sweep\",\n");
   std::fprintf(f, "  \"socket\": \"%s\",\n", socket.c_str());
   std::fprintf(f, "  \"points\": %zu,\n", points.size());
-  std::fprintf(f, "  \"store_hits\": %" PRIu64 ",\n", store_hits);
+  std::fprintf(f, "  \"store_hits\": %" PRIu64 ",\n", exec.cached_points);
   std::fprintf(f, "  \"computed\": %" PRIu64 ",\n", computed);
-  std::fprintf(f, "  \"coalesced\": %" PRIu64 ",\n", coalesced);
-  std::fprintf(f, "  \"errors\": %" PRIu64 ",\n", errors);
-  std::fprintf(f, "  \"retries\": %" PRIu64 ",\n", retries);
+  std::fprintf(f, "  \"coalesced\": %" PRIu64 ",\n", exec.deduped_points);
+  std::fprintf(f, "  \"errors\": %" PRIu64 ",\n", exec.exhausted_points);
+  std::fprintf(f, "  \"retries\": %" PRIu64 ",\n", exec.retries);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const NetworkSimConfig& c = points[i];
-    const PointReply& r = replies[i];
+    const PointReply r = SweepReply(exec, i);
     std::fprintf(f,
                  "    {\"topology\": \"%s\", \"scheme\": \"%s\", "
                  "\"injection_rate\": %.17g, \"seed\": %" PRIu64
@@ -114,39 +120,23 @@ int RunPoint(SimClient& client, const ArgMap& args) {
   return reply.status == ServeStatus::kOk ? 0 : 1;
 }
 
-int RunSweep(SimClient& client, const ArgMap& args) {
+int RunSweep(const std::string& socket, double connect_timeout,
+             const ArgMap& args) {
   NetworkSimConfig config;
   if (!SimConfigFromArgs(args, &config)) return 2;
   const std::string json = args.GetString("json", "");
   args.CheckAllConsumed();
 
-  std::vector<NetworkSimConfig> points;
-  for (double rate = 0.02; rate <= config.MaxInjectionRate() + 1e-9;
-       rate += 0.01) {
-    config.injection_rate = rate;
-    points.push_back(config);
-  }
-
-  // Batch first; any retry-after slots (daemon at capacity) are re-asked
-  // individually with the daemon's own backoff hint.
-  std::vector<PointReply> replies = client.Batch(points);
-  std::uint64_t retries = 0;
+  SweepOptions options;
+  options.server = socket;
+  const std::vector<NetworkSimConfig> points = RateGrid(config);
+  const SweepExecResult exec =
+      SweepExecutor(options, connect_timeout).Run(points);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    while (replies[i].status == ServeStatus::kRetryAfter) {
-      ++retries;
-      replies[i] = client.PointWithRetry(points[i]);
-      if (retries > 10'000) break;  // daemon permanently saturated
-    }
+    PrintPoint(points[i], SweepReply(exec, i));
   }
-
-  bool ok = true;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    PrintPoint(points[i], replies[i]);
-    if (replies[i].status != ServeStatus::kOk) ok = false;
-  }
-  if (!json.empty()) WriteSweepJson(json, client.socket_path(), points,
-                                    replies, retries);
-  return ok ? 0 : 1;
+  if (!json.empty()) WriteSweepJson(json, socket, points, exec);
+  return exec.exhausted_points == 0 ? 0 : 1;
 }
 
 int RunStats(SimClient& client, const ArgMap& args) {
@@ -191,9 +181,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
+    if (command == "sweep") return RunSweep(socket, connect_timeout, args);
     SimClient client(socket, connect_timeout);
     if (command == "point") return RunPoint(client, args);
-    if (command == "sweep") return RunSweep(client, args);
     if (command == "stats") return RunStats(client, args);
     if (command == "shutdown") {
       args.CheckAllConsumed();

@@ -34,6 +34,7 @@
 #include "common/error.hpp"
 #include "exec/exec_protocol.hpp"
 #include "sim/network_sim.hpp"
+#include "sim/sweep.hpp"
 
 namespace vixnoc {
 namespace {
@@ -114,19 +115,8 @@ int WorkerMain() {
     // Same per-point error contract as SweepRunner's worker threads: a
     // recoverable simulation error becomes a failed result slot, and the
     // worker stays alive for the next point.
-    NetworkSimResult result;
-    try {
-      result = RunNetworkSim(point.config);
-    } catch (const SimError& e) {
-      result = NetworkSimResult{};
-      result.outcome.status = SimStatus::kInvariantViolation;
-      result.outcome.message = e.what();
-    } catch (const std::exception& e) {
-      result = NetworkSimResult{};
-      result.outcome.status = SimStatus::kInvariantViolation;
-      result.outcome.message =
-          std::string("unexpected exception: ") + e.what();
-    }
+    const NetworkSimResult result =
+        ResultOrErrorSlot([&] { return RunNetworkSim(point.config); });
 
     std::string error;
     if (!WriteFrame(STDOUT_FILENO,

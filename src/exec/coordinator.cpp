@@ -1,17 +1,17 @@
 #include "exec/coordinator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include <fcntl.h>
@@ -19,13 +19,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <unordered_map>
-
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "exec/exec_protocol.hpp"
 #include "sim/sweep.hpp"
-#include "store/result_store.hpp"
 
 namespace vixnoc {
 
@@ -60,8 +57,6 @@ std::string ToString(WorkerEvent::Kind kind) {
 }
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// One worker subprocess owned by a coordinator slot thread.
 struct Worker {
@@ -119,24 +114,20 @@ std::string KillWorker(Worker* w) {
 /// EOF-based shutdown).
 bool SpawnWorker(const std::string& path, Worker* w, std::string* error) {
   int in_pipe[2] = {-1, -1}, out_pipe[2] = {-1, -1}, st_pipe[2] = {-1, -1};
+  const auto fail = [&](const char* op) {
+    *error = std::string(op) + ": " + std::strerror(errno);
+    for (int* fd : {&in_pipe[0], &in_pipe[1], &out_pipe[0], &out_pipe[1],
+                    &st_pipe[0], &st_pipe[1]}) {
+      CloseFd(fd);
+    }
+    return false;
+  };
   if (::pipe2(in_pipe, O_CLOEXEC) < 0 || ::pipe2(out_pipe, O_CLOEXEC) < 0 ||
       ::pipe2(st_pipe, O_CLOEXEC) < 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    for (int* fd : {&in_pipe[0], &in_pipe[1], &out_pipe[0], &out_pipe[1],
-                    &st_pipe[0], &st_pipe[1]}) {
-      CloseFd(fd);
-    }
-    return false;
+    return fail("pipe2");
   }
   const pid_t pid = ::fork();
-  if (pid < 0) {
-    *error = std::string("fork: ") + std::strerror(errno);
-    for (int* fd : {&in_pipe[0], &in_pipe[1], &out_pipe[0], &out_pipe[1],
-                    &st_pipe[0], &st_pipe[1]}) {
-      CloseFd(fd);
-    }
-    return false;
-  }
+  if (pid < 0) return fail("fork");
   if (pid == 0) {
     // Child: wire the protocol pipes to stdin/stdout (dup2 clears
     // O_CLOEXEC on the duplicates) and exec the worker.
@@ -173,16 +164,115 @@ bool SpawnWorker(const std::string& path, Worker* w, std::string* error) {
   return true;
 }
 
-/// A queued dispatch: point `index`, subprocess attempt number, and the
-/// earliest time it may run (backoff gates retries without parking a
-/// worker slot on a sleep).
-struct Item {
-  std::size_t index = 0;
-  int attempt = 0;
-  Clock::time_point ready_at;
+/// Outcome of one subprocess attempt at a point.
+struct Attempt {
+  ExecFailure failure = ExecFailure::kNone;
+  std::string detail;
+  /// How the worker ended when the attempt failed.
+  WorkerEvent::Kind event = WorkerEvent::Kind::kExit;
+  NetworkSimResult result;
 };
 
+/// Sends point `index` to the live worker `w` and reads its result back.
+/// On failure the worker is reaped — or killed, when its stream can no
+/// longer be trusted — and the failure classified; the caller respawns.
+Attempt Dispatch(Worker* w, std::size_t index, int attempt,
+                 const NetworkSimConfig& config, double timeout_seconds) {
+  // A dead peer must surface as EPIPE from write(), not SIGPIPE.
+  sigset_t sigpipe;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+
+  PointFrame pf;
+  pf.index = index;
+  pf.attempt = static_cast<std::uint32_t>(attempt);
+  pf.config = config;
+  const std::uint64_t fp = NetworkSimConfigFingerprint(pf.config);
+
+  Attempt out;
+  std::string werr;
+  if (!WriteFrame(w->in_fd, EncodePointFrame(pf), &werr)) {
+    // The worker died before (or while) reading the point.
+    out.detail = ReapWorker(w) + " before accepting the point";
+    out.failure = out.detail.rfind("signal", 0) == 0 ? ExecFailure::kSignal
+                                                     : ExecFailure::kExit;
+    return out;
+  }
+  const FrameRead rr =
+      ReadFrame(w->out_fd, timeout_seconds > 0 ? timeout_seconds : -1.0);
+  switch (rr.status) {
+    case FrameRead::Status::kOk:
+      try {
+        ResultFrame rf = DecodeResultFrame(rr.payload);
+        if (rf.index != index || rf.config_fingerprint != fp) {
+          out.failure = ExecFailure::kBadFrame;
+          out.detail = "result frame for point " + std::to_string(rf.index) +
+                       " (expected " + std::to_string(index) +
+                       ") or mismatched fingerprint; " + KillWorker(w);
+          out.event = WorkerEvent::Kind::kKill;
+        } else {
+          out.result = std::move(rf.result);
+        }
+      } catch (const SimError& e) {
+        // Right length, rotten bytes: the worker's stream state is
+        // untrustworthy, so it is replaced.
+        out.failure = ExecFailure::kBadFrame;
+        out.detail = std::string("undecodable result frame: ") + e.what() +
+                     "; " + KillWorker(w);
+        out.event = WorkerEvent::Kind::kKill;
+      }
+      break;
+    case FrameRead::Status::kTimeout: {
+      char buf[128];
+      std::snprintf(buf, sizeof buf,
+                    "point exceeded its %.3fs deadline; worker killed",
+                    timeout_seconds);
+      out.failure = ExecFailure::kTimeout;
+      out.detail = std::string(buf) + " (" + KillWorker(w) + ")";
+      out.event = WorkerEvent::Kind::kKill;
+      break;
+    }
+    case FrameRead::Status::kEof:
+    case FrameRead::Status::kShort: {
+      const std::string wait = ReapWorker(w);
+      if (wait.rfind("signal", 0) == 0) {
+        out.failure = ExecFailure::kSignal;
+        out.detail = wait;
+      } else if (wait == "exit status 0") {
+        out.failure = ExecFailure::kBadFrame;
+        out.detail = "worker exited cleanly mid-point";
+        if (rr.status == FrameRead::Status::kShort) {
+          out.detail += " (" + rr.detail + ")";
+        }
+      } else {
+        out.failure = ExecFailure::kExit;
+        out.detail = wait;
+      }
+      break;
+    }
+    case FrameRead::Status::kError:
+      out.failure = ExecFailure::kBadFrame;
+      out.detail = "frame read failed: " + rr.detail + "; " + KillWorker(w);
+      out.event = WorkerEvent::Kind::kKill;
+      break;
+  }
+  return out;
+}
+
 }  // namespace
+
+void RecordRunnerSources(const SweepRunner& runner, SweepExecResult* out) {
+  const std::vector<SweepRunner::Source>& sources = runner.sources();
+  out->points.resize(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    out->points[i].from_cache = sources[i] == SweepRunner::Source::kCache;
+    out->points[i].deduped = sources[i] == SweepRunner::Source::kDeduped;
+  }
+  out->cached_points = runner.resumed_points();
+  out->defective_cache_points = runner.defective_cache_points();
+  out->deduped_points = runner.deduped_points();
+}
 
 std::string DefaultWorkerPath() {
   if (const char* env = std::getenv("VIXNOC_SWEEP_WORKER")) {
@@ -219,373 +309,134 @@ SweepCoordinator::SweepCoordinator(ExecPolicy policy)
 SweepExecResult SweepCoordinator::Run(
     const std::vector<NetworkSimConfig>& configs) {
   SweepExecResult out;
-  const std::size_t n = configs.size();
-  out.results.resize(n);
-  out.points.resize(n);
-  if (n == 0) return out;
-
-  // checkpoint_dir= compatibility shim: mount a content-addressed
-  // ResultStore at the named directory. The ResultStore constructor throws
-  // SimError when the directory is unusable — same contract the old
-  // index-keyed cache had.
-  if (!policy_.cache && !policy_.checkpoint_dir.empty()) {
-    policy_.cache = std::make_shared<ResultStore>(policy_.checkpoint_dir);
-  }
-  PointCache* const cache = policy_.cache.get();
-
-  // Shared scheduler state. Result slots are per-index so writes never
-  // alias, but everything is mutated under one lock anyway — the costs
-  // here are process spawns and multi-millisecond simulations, not lock
-  // contention.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Item> queue;
-  std::size_t outstanding = 0;  // queued + in-flight, not yet finalized
-  bool spawn_broken = false;
-  std::vector<std::size_t> fallback;  // runs in-process after the pool
-
-  // Pre-pass: serve cached points, route points a worker cannot execute
-  // (a live topology_factory has no wire form) straight to the in-process
-  // path, and collapse within-batch duplicates (same NetworkSimResultKey)
-  // onto one canonical dispatch each — the duplicates' slots are fanned
-  // out from the canonical result once everything completes.
-  std::vector<std::pair<std::size_t, std::size_t>> dups;  // (dup, canonical)
-  {
-    std::unordered_map<std::uint64_t, std::size_t> first_by_key;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cache != nullptr) {
-        const PointCacheStatus status = cache->Load(configs[i], &out.results[i]);
-        if (status == PointCacheStatus::kHit) {
-          out.points[i].from_cache = true;
-          ++out.cached_points;
-          continue;
-        }
-        if (status == PointCacheStatus::kDefective) {
-          ++out.defective_cache_points;
-        }
-      }
-      if (configs[i].topology_factory) {
-        out.points[i].failure_detail =
-            "topology_factory cannot cross a process boundary";
-        fallback.push_back(i);
-        continue;
-      }
-      // Factory-free configs are safe to dedupe; routing_factory configs
-      // are not (the key only hashes factory presence).
-      if (!configs[i].routing_factory) {
-        const auto [it, inserted] =
-            first_by_key.try_emplace(NetworkSimResultKey(configs[i]), i);
-        if (!inserted) {
-          dups.emplace_back(i, it->second);
-          out.points[i].deduped = true;
-          ++out.deduped_points;
-          continue;
-        }
-      }
-      queue.push_back(Item{i, 0, Clock::now()});
-      ++outstanding;
-    }
-  }
-
-  if (policy_.worker_path.empty()) {
-    // No worker binary anywhere: degrade the whole batch to in-process
-    // execution rather than wedging or throwing.
+  out.points.resize(configs.size());
+  if (policy_.worker_path.empty() && !configs.empty()) {
     std::fprintf(stderr,
                  "vixnoc: warning: no vixnoc_sweep_worker binary found "
                  "(set VIXNOC_SWEEP_WORKER); running sweep in-process "
                  "without crash isolation\n");
-    for (const Item& item : queue) {
-      out.points[item.index].last_failure = ExecFailure::kSpawn;
-      out.points[item.index].failure_detail = "no worker binary found";
-      fallback.push_back(item.index);
-    }
-    queue.clear();
-    outstanding = 0;
   }
 
-  const int num_workers =
-      static_cast<int>(std::min<std::size_t>(policy_.num_workers,
-                                             std::max<std::size_t>(n, 1)));
+  // The runner lives for one Run, like the workers: its threads exit with
+  // the batch, so an idle coordinator holds no threads or processes.
+  SweepRunner runner(policy_.num_workers);
+  runner.SetCache(policy_.cache);
 
-  const auto backoff_for = [this](int attempt) {
-    const double raw = policy_.backoff_initial_seconds *
-                       std::pow(policy_.backoff_multiplier, attempt);
-    return std::min(raw, policy_.backoff_max_seconds);
-  };
+  // One worker per runner thread, so one point in flight per worker.
+  // out.points[i] belongs to the thread running point i; `mu` guards the
+  // batch tallies and the event log.
+  std::mutex mu;
+  std::vector<Worker> workers(runner.num_threads());
+  std::atomic<bool> spawn_broken{false};
+  // Attempt failures per ExecFailure kind (kSpawn is the last one),
+  // folded into the batch tallies at the end.
+  std::uint64_t failures[static_cast<int>(ExecFailure::kSpawn) + 1] = {};
 
-  // Finalization helpers; all called with `mu` held.
-  const auto finalize = [&]() {
-    --outstanding;
-    if (outstanding == 0) cv.notify_all();
-  };
-  const auto tally_failure = [&](ExecFailure kind) {
-    switch (kind) {
-      case ExecFailure::kExit:
-      case ExecFailure::kSignal:
-        ++out.crashes;
-        break;
-      case ExecFailure::kTimeout:
-        ++out.timeouts;
-        break;
-      case ExecFailure::kBadFrame:
-        ++out.bad_frames;
-        break;
-      case ExecFailure::kSpawn:
-        ++out.spawn_failures;
-        break;
-      case ExecFailure::kNone:
-        break;
-    }
-  };
-
-  const auto slot_loop = [&](int slot) {
-    // A dead peer must surface as EPIPE from write(), not SIGPIPE.
-    sigset_t sigpipe;
-    sigemptyset(&sigpipe);
-    sigaddset(&sigpipe, SIGPIPE);
-    pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
-
-    Worker w;
-    for (;;) {
-      Item item;
-      bool done = false;
-      bool route_to_fallback = false;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        for (;;) {
-          if (outstanding == 0) {
-            done = true;
-            break;
-          }
-          const auto now = Clock::now();
-          auto ready = queue.end();
-          auto earliest = queue.end();
-          for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (it->ready_at <= now) {
-              ready = it;
-              break;
-            }
-            if (earliest == queue.end() ||
-                it->ready_at < earliest->ready_at) {
-              earliest = it;
-            }
-          }
-          if (ready != queue.end()) {
-            item = *ready;
-            queue.erase(ready);
-            break;
-          }
-          if (earliest != queue.end()) {
-            cv.wait_until(lock, earliest->ready_at);
-          } else {
-            cv.wait(lock);  // everything in flight elsewhere
-          }
-        }
-        if (!done && spawn_broken) {
-          // A slot already proved subprocesses cannot be spawned; route
-          // everything else to the in-process path without more attempts.
-          out.points[item.index].last_failure = ExecFailure::kSpawn;
-          out.points[item.index].failure_detail =
-              "subprocess spawning unavailable";
-          fallback.push_back(item.index);
-          finalize();
-          route_to_fallback = true;
-        }
-      }
-      if (route_to_fallback) continue;
-      if (done) {
-        // Batch complete: shut the worker down by closing its stdin (it
-        // exits on EOF) and reap it.
-        if (w.alive()) {
-          const pid_t pid = w.pid;
-          const std::string wait = ReapWorker(&w);
-          std::lock_guard<std::mutex> lock(mu);
-          out.events.push_back(WorkerEvent{WorkerEvent::Kind::kExit, slot,
-                                           static_cast<long>(pid),
-                                           "shutdown: " + wait});
-        }
-        return;
-      }
-
-      // ---- dispatch one attempt, unlocked ----
+  // Runs point `index` on the thread's worker, retrying after each
+  // failure; nullopt when no worker can be spawned.
+  const auto run_isolated =
+      [&](int slot, std::size_t index,
+          const NetworkSimConfig& config) -> std::optional<NetworkSimResult> {
+    ExecStatus& st = out.points[index];
+    Worker& w = workers[slot];
+    for (int attempt = 0;; ++attempt) {
       if (!w.alive()) {
         std::string err;
-        if (!SpawnWorker(policy_.worker_path, &w, &err)) {
-          std::lock_guard<std::mutex> lock(mu);
-          spawn_broken = true;
-          tally_failure(ExecFailure::kSpawn);
-          out.points[item.index].last_failure = ExecFailure::kSpawn;
-          out.points[item.index].failure_detail = err;
-          fallback.push_back(item.index);
-          finalize();
-          cv.notify_all();  // wake slots so they drain via spawn_broken
-          continue;
-        }
+        const bool spawned = SpawnWorker(policy_.worker_path, &w, &err);
         std::lock_guard<std::mutex> lock(mu);
+        if (!spawned) {
+          // This and every later point run in-process, unattempted.
+          spawn_broken = true;
+          ++failures[static_cast<int>(ExecFailure::kSpawn)];
+          st.last_failure = ExecFailure::kSpawn;
+          st.failure_detail = err;
+          return std::nullopt;
+        }
         ++out.workers_spawned;
         out.events.push_back(WorkerEvent{WorkerEvent::Kind::kSpawn, slot,
                                          static_cast<long>(w.pid), ""});
       }
-      const pid_t worker_pid = w.pid;
-
-      PointFrame pf;
-      pf.index = item.index;
-      pf.attempt = static_cast<std::uint32_t>(item.attempt);
-      pf.config = configs[item.index];
-      const std::uint64_t fp = NetworkSimConfigFingerprint(pf.config);
-
-      ExecFailure failure = ExecFailure::kNone;
-      std::string detail;
-      WorkerEvent::Kind event_kind = WorkerEvent::Kind::kExit;
-      NetworkSimResult result;
-
-      std::string werr;
-      if (!WriteFrame(w.in_fd, EncodePointFrame(pf), &werr)) {
-        // The worker died before (or while) reading the point.
-        detail = ReapWorker(&w) + " before accepting the point";
-        failure = detail.rfind("signal", 0) == 0 ? ExecFailure::kSignal
-                                                 : ExecFailure::kExit;
-      } else {
-        const FrameRead rr =
-            ReadFrame(w.out_fd, policy_.point_timeout_seconds > 0
-                                    ? policy_.point_timeout_seconds
-                                    : -1.0);
-        switch (rr.status) {
-          case FrameRead::Status::kOk:
-            try {
-              ResultFrame rf = DecodeResultFrame(rr.payload);
-              if (rf.index != item.index || rf.config_fingerprint != fp) {
-                failure = ExecFailure::kBadFrame;
-                detail = "result frame for point " +
-                         std::to_string(rf.index) + " (expected " +
-                         std::to_string(item.index) +
-                         ") or mismatched fingerprint; " + KillWorker(&w);
-                event_kind = WorkerEvent::Kind::kKill;
-              } else {
-                result = std::move(rf.result);
-              }
-            } catch (const SimError& e) {
-              // Right length, rotten bytes: the worker's stream state is
-              // untrustworthy, so it is replaced.
-              failure = ExecFailure::kBadFrame;
-              detail = std::string("undecodable result frame: ") + e.what() +
-                       "; " + KillWorker(&w);
-              event_kind = WorkerEvent::Kind::kKill;
-            }
-            break;
-          case FrameRead::Status::kTimeout: {
-            char buf[128];
-            std::snprintf(buf, sizeof buf,
-                          "point exceeded its %.3fs deadline; worker killed",
-                          policy_.point_timeout_seconds);
-            failure = ExecFailure::kTimeout;
-            detail = std::string(buf) + " (" + KillWorker(&w) + ")";
-            event_kind = WorkerEvent::Kind::kKill;
-            break;
-          }
-          case FrameRead::Status::kEof:
-          case FrameRead::Status::kShort: {
-            const std::string wait = ReapWorker(&w);
-            if (wait.rfind("signal", 0) == 0) {
-              failure = ExecFailure::kSignal;
-              detail = wait;
-            } else if (wait == "exit status 0") {
-              failure = ExecFailure::kBadFrame;
-              detail = "worker exited cleanly mid-point";
-              if (rr.status == FrameRead::Status::kShort) {
-                detail += " (" + rr.detail + ")";
-              }
-            } else {
-              failure = ExecFailure::kExit;
-              detail = wait;
-            }
-            break;
-          }
-          case FrameRead::Status::kError:
-            failure = ExecFailure::kBadFrame;
-            detail = "frame read failed: " + rr.detail + "; " + KillWorker(&w);
-            event_kind = WorkerEvent::Kind::kKill;
-            break;
-        }
+      const pid_t pid = w.pid;
+      Attempt a = Dispatch(&w, index, attempt, config,
+                           policy_.point_timeout_seconds);
+      st.attempts = attempt + 1;
+      if (a.failure == ExecFailure::kNone) {
+        st.isolated = true;
+        return std::move(a.result);
       }
 
-      if (failure == ExecFailure::kNone) {
-        // Success. Cache best-effort (the cache is an accelerator, never a
-        // correctness input; Put is non-throwing), then publish the slot.
-        if (cache != nullptr) cache->Put(pf.config, result);
-        std::lock_guard<std::mutex> lock(mu);
-        out.results[item.index] = std::move(result);
-        out.points[item.index].isolated = true;
-        out.points[item.index].attempts = item.attempt + 1;
-        finalize();
-        continue;
-      }
-
-      // Failure: classify, then retry with backoff or give the point its
-      // final error slot. The worker (if any survived classification) is
-      // already dead — the next dispatch on this slot respawns one.
-      std::lock_guard<std::mutex> lock(mu);
-      tally_failure(failure);
-      ExecStatus& st = out.points[item.index];
-      st.attempts = item.attempt + 1;
-      st.last_failure = failure;
-      st.failure_detail = detail;
-      out.events.push_back(WorkerEvent{
-          event_kind, slot, static_cast<long>(worker_pid),
-          "point " + std::to_string(item.index) + ": " + detail});
-      if (item.attempt < policy_.max_retries) {
-        const double backoff = backoff_for(item.attempt);
-        st.backoff_seconds += backoff;
-        ++out.retries;
-        queue.push_back(Item{
-            item.index, item.attempt + 1,
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(backoff))});
-        cv.notify_all();
-      } else {
+      // Classified failure; the worker is dead and the next attempt
+      // respawns one.
+      st.last_failure = a.failure;
+      st.failure_detail = a.detail;
+      std::unique_lock<std::mutex> lock(mu);
+      ++failures[static_cast<int>(a.failure)];
+      out.events.push_back(
+          WorkerEvent{a.event, slot, static_cast<long>(pid),
+                      "point " + std::to_string(index) + ": " + a.detail});
+      if (attempt >= policy_.max_retries) {
         ++out.exhausted_points;
-        NetworkSimResult& slot_result = out.results[item.index];
-        slot_result = NetworkSimResult{};
-        slot_result.outcome.status = SimStatus::kExecFailure;
-        slot_result.outcome.message =
-            "worker " + ToString(failure) + " failure: " + detail + " (" +
-            std::to_string(item.attempt + 1) + " attempts)";
-        finalize();
+        NetworkSimResult failed;
+        failed.outcome.status = SimStatus::kExecFailure;
+        failed.outcome.message =
+            "worker " + ToString(a.failure) + " failure: " + a.detail + " (" +
+            std::to_string(attempt + 1) + " attempts)";
+        return failed;
       }
+      const double backoff =
+          std::min(policy_.backoff_initial_seconds *
+                       std::pow(policy_.backoff_multiplier, attempt),
+                   policy_.backoff_max_seconds);
+      st.backoff_seconds += backoff;
+      ++out.retries;
+      lock.unlock();  // the backoff parks this runner thread, not the lock
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
   };
 
-  std::vector<std::thread> slots;
-  slots.reserve(num_workers);
-  for (int s = 0; s < num_workers; ++s) {
-    slots.emplace_back(slot_loop, s);
-  }
-  for (std::thread& t : slots) t.join();
-
-  // Graceful degradation: everything routed to the in-process path runs
-  // on a SweepRunner (which converts exceptions into error slots, exactly
-  // like a non-isolated sweep would).
-  if (!fallback.empty()) {
-    std::vector<NetworkSimConfig> cfgs;
-    cfgs.reserve(fallback.size());
-    for (const std::size_t index : fallback) cfgs.push_back(configs[index]);
-    const std::vector<NetworkSimResult> res =
-        RunSweep(cfgs, policy_.num_workers);
-    for (std::size_t k = 0; k < fallback.size(); ++k) {
-      const std::size_t index = fallback[k];
-      out.results[index] = res[k];
-      out.points[index].in_process_fallback = true;
-      ++out.fallback_points;
-      // Put itself skips exception slots and factory configs.
-      if (cache != nullptr) cache->Put(configs[index], out.results[index]);
+  const auto run_point = [&](int slot, std::size_t index,
+                             const NetworkSimConfig& config) {
+    ExecStatus& st = out.points[index];
+    if (config.topology_factory || config.routing_factory) {
+      st.failure_detail = "a factory callback cannot cross a process boundary";
+    } else if (policy_.worker_path.empty() || spawn_broken) {
+      st.last_failure = ExecFailure::kSpawn;
+      st.failure_detail = policy_.worker_path.empty()
+                              ? "no worker binary found"
+                              : "subprocess spawning unavailable";
+    } else if (std::optional<NetworkSimResult> result =
+                   run_isolated(slot, index, config)) {
+      return std::move(*result);
     }
-  }
+    // Graceful degradation: the point runs right here, in-process (the
+    // runner turns exceptions into error slots, as for any sweep).
+    st.in_process_fallback = true;
+    return RunNetworkSim(config);
+  };
 
-  // Fan deduplicated slots out from their canonical results (which by now
-  // all exist — worker, fallback, or final error slot alike).
-  for (const auto& [dup, canon] : dups) {
-    out.results[dup] = out.results[canon];
+  out.results = runner.Run(configs, run_point);
+
+  // Batch complete: shut the workers down by closing their stdin (they
+  // exit on EOF) and reap them.
+  for (std::size_t s = 0; s < workers.size(); ++s) {
+    if (!workers[s].alive()) continue;
+    const pid_t pid = workers[s].pid;
+    out.events.push_back(WorkerEvent{WorkerEvent::Kind::kExit,
+                                     static_cast<int>(s),
+                                     static_cast<long>(pid),
+                                     "shutdown: " + ReapWorker(&workers[s])});
   }
+  const auto failed = [&](ExecFailure kind) {
+    return failures[static_cast<int>(kind)];
+  };
+  out.crashes = failed(ExecFailure::kExit) + failed(ExecFailure::kSignal);
+  out.timeouts = failed(ExecFailure::kTimeout);
+  out.bad_frames = failed(ExecFailure::kBadFrame);
+  out.spawn_failures = failed(ExecFailure::kSpawn);
+  for (const ExecStatus& st : out.points) {
+    out.fallback_points += st.in_process_fallback;
+  }
+  RecordRunnerSources(runner, &out);
   return out;
 }
 

@@ -3,33 +3,32 @@
 // SweepRunner (sim/sweep.hpp) already survives *exceptions* in a point,
 // but a hard crash — a segfault, an abort, an OOM kill — or a runaway
 // simulation still takes down the whole orchestrating process. The
-// coordinator closes that gap by running points in a pool of
-// vixnoc_sweep_worker subprocesses (exec/exec_protocol.hpp wire format):
+// coordinator runs points in vixnoc_sweep_worker subprocesses
+// (exec/exec_protocol.hpp wire format), yet it is not a second batch
+// loop: each Run hands the batch to a SweepRunner of num_workers threads
+// it owns for that Run (cache probe against ExecPolicy::cache,
+// within-batch dedup, submission-order merge) with a per-point function
+// that
 //
-//  * one point in flight per worker (natural backpressure);
-//  * a per-point wall-clock deadline enforced by the coordinator — an
-//    overrunning worker is SIGKILLed and the point classified kTimeout;
-//  * worker failure detected and classified (nonzero exit, death by
-//    signal, malformed/short result frame, deadline exceeded, spawn
-//    failure) into a structured per-point ExecStatus;
-//  * failed points retried with bounded exponential backoff on a
-//    respawned worker, up to ExecPolicy::max_retries times;
-//  * already-completed points served from the PR-5 per-point checkpoint
-//    cache (same point_<i>.ckpt files SweepRunner writes), so restarting
-//    a partially finished sweep — or a straggler retry after a crash —
-//    never re-simulates healthy work;
-//  * graceful degradation: when subprocess spawning is unavailable (no
-//    worker binary, fork failure) the remaining points run on the
-//    in-process SweepRunner path; a point that exhausts its retries gets
-//    a final error slot (SimStatus::kExecFailure) instead of wedging the
-//    batch.
+//  * sends the point to the worker of the runner thread calling it, so
+//    each worker has one point in flight;
+//  * enforces a per-point wall-clock deadline — an overrunning worker is
+//    SIGKILLed and the point classified kTimeout;
+//  * classifies worker failure (nonzero exit, death by signal,
+//    malformed/short result frame, deadline, spawn failure) into the
+//    point's ExecStatus and retries on a respawned worker, up to
+//    ExecPolicy::max_retries times, after an exponential backoff that
+//    parks the calling runner thread;
+//  * runs a point a worker cannot take (a live factory callback, no
+//    worker binary, spawning broken) in-process on the same thread, and
+//    gives a point that exhausts its retries a final error slot
+//    (SimStatus::kExecFailure) instead of wedging the batch.
 //
-// Determinism contract: results are merged in submission order, and every
-// point that completes — in a worker, from cache, or via the in-process
-// fallback — is the output of the same deterministic RunNetworkSim, so a
-// batch's surviving results are bitwise identical to a serial in-process
-// sweep at any worker count. exec_test.cpp pins this, with injected
-// crashes and hangs in the mix.
+// Determinism contract: every point that completes — in a worker, from
+// cache, or in-process — is the output of the same deterministic
+// RunNetworkSim, so a batch's surviving results are bitwise identical to
+// a serial in-process sweep at any worker count. exec_test.cpp pins this,
+// with injected crashes and hangs in the mix.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +61,8 @@ struct ExecStatus {
   bool from_cache = false;   ///< served from the point cache / result store
   bool in_process_fallback = false;  ///< ran on the in-process path
   /// Within-batch duplicate of an earlier point (same NetworkSimResultKey):
-  /// its slot was fanned out from the canonical point's result.
+  /// its slot was fanned out from the canonical point's result. From a
+  /// daemon: coalesced onto an in-flight computation.
   bool deduped = false;
   int attempts = 0;          ///< subprocess attempts dispatched
   ExecFailure last_failure = ExecFailure::kNone;
@@ -100,16 +100,10 @@ struct ExecPolicy {
   double backoff_multiplier = 2.0;
   double backoff_max_seconds = 2.0;
   /// Per-point result cache shared with SweepRunner (normally a
-  /// content-addressed ResultStore, store/result_store.hpp). Consulted in
-  /// a pre-pass before any worker dispatch; completed points are written
-  /// back best-effort. Null disables caching (unless checkpoint_dir is
-  /// set).
+  /// content-addressed ResultStore, store/result_store.hpp). Probed before
+  /// a point is dispatched; completed points are written back
+  /// best-effort. Null disables caching.
   std::shared_ptr<PointCache> cache;
-  /// Compatibility shim for the pre-store `checkpoint_dir=` surface: when
-  /// set and `cache` is null, Run constructs a ResultStore rooted here.
-  /// Entries are content-keyed (`<fp[0:2]>/<fp>.res`), not the old
-  /// point_<i>.ckpt index files.
-  std::string checkpoint_dir;
 };
 
 struct SweepExecResult {
@@ -131,6 +125,11 @@ struct SweepExecResult {
   std::uint64_t deduped_points = 0;    ///< within-batch duplicate slots
 };
 
+/// Copies the provenance of `runner`'s most recent Run into `out`:
+/// points[i].from_cache / deduped (points is sized to the batch) and the
+/// cache and dedup tallies.
+void RecordRunnerSources(const SweepRunner& runner, SweepExecResult* out);
+
 /// Resolves the worker binary: $VIXNOC_SWEEP_WORKER if set, else a
 /// vixnoc_sweep_worker next to the current executable or in the build
 /// tree's src/app/ relative to it. Returns "" when nothing executable is
@@ -146,7 +145,7 @@ class SweepCoordinator {
 
   /// Runs every point and blocks until all have a result slot. Never
   /// throws for per-point or per-worker failures; only for coordinator
-  /// bugs (VIXNOC_CHECK) or an unusable checkpoint_dir.
+  /// bugs (VIXNOC_CHECK).
   SweepExecResult Run(const std::vector<NetworkSimConfig>& configs);
 
  private:

@@ -20,6 +20,7 @@
 // *classification input* for the coordinator, not an exception.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -36,6 +37,10 @@ class SnapshotWriter;
 /// (the coordinator runs such points in-process instead).
 void SaveNetworkSimConfig(SnapshotWriter& w, const NetworkSimConfig& c);
 NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r);
+
+/// Lower bound on SaveNetworkSimConfig's output: its fixed-width fields
+/// alone take ~260 bytes. Decoders bound a config count with it.
+inline constexpr std::size_t kMinEncodedConfigBytes = 256;
 
 /// One dispatched sweep point. `attempt` counts subprocess tries (0 = the
 /// first); it rides along so the worker's deterministic test-failure hooks

@@ -114,6 +114,52 @@ void Router::AcceptCredit(PortId out_port, VcId out_vc) {
   VIXNOC_CHECK(credits_[ovc] <= config_.buffer_depth);
 }
 
+void Router::ActivateInputVc(int idx, PortId out_port, VcId out_vc,
+                             PortId lookahead, std::uint8_t next_dateline) {
+  in_next_dateline_[idx] = next_dateline;
+  in_active_[idx] = 1;
+  in_out_port_[idx] = out_port;
+  in_out_vc_[idx] = out_vc;
+  in_lookahead_[idx] = lookahead;
+  just_activated_[idx] = true;
+  va_cand_.Clear(idx);
+  sa_cand_.Set(idx);
+  ++activity_.va_grants;
+}
+
+void Router::RequestOutputVc(int idx, PortId out_port, PortId lookahead,
+                             PortDimension downstream_dim,
+                             std::uint8_t next_dateline, VcId first_vc,
+                             int span, bool atomic, bool separable) {
+  const int ovc_base = OvcIndex(out_port, first_vc);
+  vc_view_scratch_.resize(span);
+  for (VcId i = 0; i < span; ++i) {
+    bool busy = out_allocated_[ovc_base + i] != 0;
+    if (atomic && credits_[ovc_base + i] < config_.buffer_depth) {
+      busy = true;  // downstream buffer not empty: VC not reallocatable
+    }
+    vc_view_scratch_[i].allocated = busy;
+    vc_view_scratch_[i].credits = credits_[ovc_base + i];
+  }
+  VinLayout layout;
+  layout.num_vins = config_.NumVins();
+  layout.total_vcs = config_.num_vcs;
+  layout.interleaved = config_.interleaved_vins;
+  layout.first_vc = first_vc;
+  const int pick = PickOutputVc(config_.vc_policy, vc_view_scratch_, layout,
+                                downstream_dim, &vc_rng_);
+  if (pick < 0) return;  // all usable VCs busy: stall
+  const VcId out_vc = first_vc + pick;
+
+  if (separable) {
+    va_prefs_.push_back(
+        VaPreference{idx, out_port, out_vc, lookahead, next_dateline});
+    return;
+  }
+  out_allocated_[OvcIndex(out_port, out_vc)] = 1;
+  ActivateInputVc(idx, out_port, out_vc, lookahead, next_dateline);
+}
+
 void Router::ConsiderVaCandidate(int idx, bool separable) {
   const VcId c = static_cast<VcId>(idx % config_.num_vcs);
   const Flit& head = HeadFlit(idx);
@@ -127,29 +173,16 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
   // Down link: the packet waits in its buffer without claiming a VC.
   if (num_blocked_ > 0 && output_blocked_[out_port]) return;
 
-  // Lookahead route computation for the downstream router; ejection ports
-  // terminate at an NI, so there is no next hop.
-  PortId lookahead = kInvalidPort;
-  PortDimension downstream_dim = PortDimension::kLocal;
-  if (!link.IsEjection()) {
-    lookahead = routing_->Route(link.neighbor, head.dst);
-    downstream_dim = routing_->DimensionOf(lookahead);
-  }
-
   if (link.IsEjection()) {
     // NIs accept any VC and reassemble; no allocation state is needed and
-    // interleaving packets on the ejection port is harmless.
-    in_next_dateline_[idx] = head.dateline;
-    in_active_[idx] = 1;
-    in_out_port_[idx] = out_port;
-    in_out_vc_[idx] = c % config_.num_vcs;
-    in_lookahead_[idx] = lookahead;
-    just_activated_[idx] = true;
-    va_cand_.Clear(idx);
-    sa_cand_.Set(idx);
-    ++activity_.va_grants;
+    // interleaving packets on the ejection port is harmless. Ejection
+    // ports terminate at an NI, so there is no next hop.
+    ActivateInputVc(idx, out_port, c, kInvalidPort, head.dateline);
     return;
   }
+  // Lookahead route computation for the downstream router.
+  const PortId lookahead = routing_->Route(link.neighbor, head.dst);
+  const PortDimension downstream_dim = routing_->DimensionOf(lookahead);
 
   // Virtual networks: a packet may only use VCs of its message class.
   const int cls = head.msg_class;
@@ -163,44 +196,9 @@ void Router::ConsiderVaCandidate(int idx, bool separable) {
       routing_->NextDatelineState(id_, out_port, head.dateline);
   const VcRange range = routing_->AllowedVcRange(out_port, next_state, vpc);
   VIXNOC_DCHECK(range.lo >= 0 && range.lo < range.hi && range.hi <= vpc);
-  const int span = range.hi - range.lo;
-  const int ovc_base = OvcIndex(out_port, cls_base + range.lo);
-  vc_view_scratch_.resize(span);
-  for (VcId i = 0; i < span; ++i) {
-    bool busy = out_allocated_[ovc_base + i] != 0;
-    if (config_.atomic_vc_alloc &&
-        credits_[ovc_base + i] < config_.buffer_depth) {
-      busy = true;  // downstream buffer not empty: VC not reallocatable
-    }
-    vc_view_scratch_[i].allocated = busy;
-    vc_view_scratch_[i].credits = credits_[ovc_base + i];
-  }
-  VinLayout layout;
-  layout.num_vins = config_.NumVins();
-  layout.total_vcs = config_.num_vcs;
-  layout.interleaved = config_.interleaved_vins;
-  layout.first_vc = cls_base + range.lo;
-  const int pick = PickOutputVc(config_.vc_policy, vc_view_scratch_,
-                                layout, downstream_dim, &vc_rng_);
-  if (pick < 0) return;  // all usable VCs busy: stall
-  const VcId out_vc = cls_base + range.lo + pick;
-
-  if (separable) {
-    va_prefs_.push_back(
-        VaPreference{idx, out_port, out_vc, lookahead, next_state});
-    return;
-  }
-
-  out_allocated_[OvcIndex(out_port, out_vc)] = 1;
-  in_next_dateline_[idx] = next_state;
-  in_active_[idx] = 1;
-  in_out_port_[idx] = out_port;
-  in_out_vc_[idx] = out_vc;
-  in_lookahead_[idx] = lookahead;
-  just_activated_[idx] = true;
-  va_cand_.Clear(idx);
-  sa_cand_.Set(idx);
-  ++activity_.va_grants;
+  RequestOutputVc(idx, out_port, lookahead, downstream_dim, next_state,
+                  cls_base + range.lo, range.hi - range.lo,
+                  config_.atomic_vc_alloc, separable);
 }
 
 void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
@@ -221,15 +219,7 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   // no allocation state is needed and interleaving packets on the ejection
   // port is harmless.
   if (links_[cands[0].out_port].IsEjection()) {
-    in_next_dateline_[idx] = head.dateline;
-    in_active_[idx] = 1;
-    in_out_port_[idx] = cands[0].out_port;
-    in_out_vc_[idx] = c % config_.num_vcs;
-    in_lookahead_[idx] = kInvalidPort;
-    just_activated_[idx] = true;
-    va_cand_.Clear(idx);
-    sa_cand_.Set(idx);
-    ++activity_.va_grants;
+    ActivateInputVc(idx, cands[0].out_port, c, kInvalidPort, head.dateline);
     return;
   }
 
@@ -281,44 +271,13 @@ void Router::ConsiderVaCandidateAdaptive(int idx, bool separable) {
   // selection, but the stamp drives VIX's dimension-aware VC steering.
   const PortId lookahead = routing_->Route(link.neighbor, head.dst);
   const PortDimension downstream_dim = routing_->DimensionOf(lookahead);
-  const std::uint8_t next_state = chosen->next_dateline;
   const VcRange range = chosen->vc_range;
   VIXNOC_DCHECK(range.lo >= 0 && range.lo < range.hi && range.hi <= vpc);
-  const int span = range.hi - range.lo;
-  const int ovc_base = OvcIndex(out_port, cls_base + range.lo);
-  vc_view_scratch_.resize(span);
-  for (VcId i = 0; i < span; ++i) {
-    // Same atomic-reallocation rule as candidate scoring above.
-    vc_view_scratch_[i].allocated = out_allocated_[ovc_base + i] != 0 ||
-                                    credits_[ovc_base + i] < config_.buffer_depth;
-    vc_view_scratch_[i].credits = credits_[ovc_base + i];
-  }
-  VinLayout layout;
-  layout.num_vins = config_.NumVins();
-  layout.total_vcs = config_.num_vcs;
-  layout.interleaved = config_.interleaved_vins;
-  layout.first_vc = cls_base + range.lo;
-  const int pick = PickOutputVc(config_.vc_policy, vc_view_scratch_, layout,
-                                downstream_dim, &vc_rng_);
-  if (pick < 0) return;  // all usable VCs busy: stall
-  const VcId out_vc = cls_base + range.lo + pick;
-
-  if (separable) {
-    va_prefs_.push_back(
-        VaPreference{idx, out_port, out_vc, lookahead, next_state});
-    return;
-  }
-
-  out_allocated_[OvcIndex(out_port, out_vc)] = 1;
-  in_next_dateline_[idx] = next_state;
-  in_active_[idx] = 1;
-  in_out_port_[idx] = out_port;
-  in_out_vc_[idx] = out_vc;
-  in_lookahead_[idx] = lookahead;
-  just_activated_[idx] = true;
-  va_cand_.Clear(idx);
-  sa_cand_.Set(idx);
-  ++activity_.va_grants;
+  // Adaptive routing always reallocates atomically (see the scoring loop
+  // above), whatever atomic_vc_alloc says.
+  RequestOutputVc(idx, out_port, lookahead, downstream_dim,
+                  chosen->next_dateline, cls_base + range.lo,
+                  range.hi - range.lo, /*atomic=*/true, separable);
 }
 
 void Router::RunVcAllocation() {
@@ -364,16 +323,8 @@ void Router::RunVcAllocation() {
       const int ovc = OvcIndex(pref.out_port, pref.out_vc);
       if (out_allocated_[ovc]) continue;  // lost this cycle
       out_allocated_[ovc] = 1;
-      const int idx = pref.idx;
-      in_next_dateline_[idx] = pref.next_dateline;
-      in_active_[idx] = 1;
-      in_out_port_[idx] = pref.out_port;
-      in_out_vc_[idx] = pref.out_vc;
-      in_lookahead_[idx] = pref.lookahead;
-      just_activated_[idx] = true;
-      va_cand_.Clear(idx);
-      sa_cand_.Set(idx);
-      ++activity_.va_grants;
+      ActivateInputVc(pref.idx, pref.out_port, pref.out_vc, pref.lookahead,
+                      pref.next_dateline);
     }
   }
 

@@ -270,6 +270,18 @@ class Router {
   /// selects an output by local credit/occupancy state, falling back to
   /// the escape candidate so deadlock freedom is preserved.
   void ConsiderVaCandidateAdaptive(int idx, bool separable);
+  /// Shared tail of both VA paths once the output port is chosen: picks an
+  /// output VC in [first_vc, first_vc + span) by vc_policy, then states it
+  /// as a preference (separable) or grants it at once. With `atomic` a VC
+  /// whose downstream buffer is not empty counts as busy.
+  void RequestOutputVc(int idx, PortId out_port, PortId lookahead,
+                       PortDimension downstream_dim,
+                       std::uint8_t next_dateline, VcId first_vc, int span,
+                       bool atomic, bool separable);
+  /// VA grant: input VC `idx` takes (out_port, out_vc) and competes in SA
+  /// from now on. Claiming the output VC is the caller's job.
+  void ActivateInputVc(int idx, PortId out_port, VcId out_vc,
+                       PortId lookahead, std::uint8_t next_dateline);
   void BuildSaRequests();
   void CommitGrants(Cycle now, std::vector<SentFlit>* sent_flits,
                     std::vector<SentCredit>* sent_credits);

@@ -23,6 +23,10 @@ std::uint64_t FoldKeys(const std::vector<std::uint64_t>& keys) {
   return Fnv1a64(keys.data(), keys.size() * sizeof(std::uint64_t));
 }
 
+/// SavePointReply's output without a result: status, source, retry hint,
+/// message length, result key and the has-result flag.
+constexpr std::size_t kMinEncodedReplyBytes = 1 + 1 + 8 + 8 + 8 + 1;
+
 void SavePointReply(SnapshotWriter& w, const PointReply& r) {
   w.U8(static_cast<std::uint8_t>(r.status));
   w.U8(static_cast<std::uint8_t>(r.source));
@@ -155,13 +159,10 @@ Request DecodeRequest(const std::string& payload) {
   if (r.HasSection(kBatchSection)) {
     out.kind = RequestKind::kBatch;
     r.OpenSection(kBatchSection);
-    const std::uint64_t count = r.U64();
-    VIXNOC_REQUIRE(count <= 1'000'000,
-                   "batch request claims %llu points",
-                   static_cast<unsigned long long>(count));
+    const std::size_t count = r.Count(kMinEncodedConfigBytes);
     std::vector<std::uint64_t> keys;
     keys.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       out.configs.push_back(LoadNetworkSimConfig(r));
       keys.push_back(NetworkSimResultKey(out.configs.back()));
     }
@@ -218,14 +219,12 @@ std::string EncodeBatchReply(const std::vector<PointReply>& replies) {
 std::vector<PointReply> DecodeBatchReply(const std::string& payload) {
   SnapshotReader r(payload);
   r.OpenSection(kBatchReplySection);
-  const std::uint64_t count = r.U64();
-  VIXNOC_REQUIRE(count <= 1'000'000, "batch reply claims %llu points",
-                 static_cast<unsigned long long>(count));
+  const std::size_t count = r.Count(kMinEncodedReplyBytes);
   std::vector<PointReply> out;
   std::vector<std::uint64_t> keys;
   out.reserve(count);
   keys.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     out.push_back(LoadPointReply(r));
     keys.push_back(out.back().result_key);
   }

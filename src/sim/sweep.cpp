@@ -1,5 +1,6 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +57,7 @@ SweepRunner::SweepRunner(int num_threads) {
   const int n = ResolveThreadCount(num_threads);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -75,13 +76,15 @@ void SweepRunner::SetCache(std::shared_ptr<PointCache> cache) {
   cache_ = std::move(cache);
 }
 
-NetworkSimResult SweepRunner::ExecutePoint(const NetworkSimConfig& config) {
-  // A throwing point (invalid config, SimError) must not escape the
-  // worker thread — that would std::terminate the process and wedge
-  // Run() waiting on a slot that never completes. It becomes a failed
-  // result instead, and the pool stays usable for later work.
+std::size_t SweepRunner::Count(Source source) const {
+  return static_cast<std::size_t>(
+      std::count(sources_.begin(), sources_.end(), source));
+}
+
+NetworkSimResult ResultOrErrorSlot(
+    const std::function<NetworkSimResult()>& run) {
   try {
-    return RunNetworkSim(config);
+    return run();
   } catch (const SimError& e) {
     NetworkSimResult result;
     result.outcome.status = SimStatus::kInvariantViolation;
@@ -95,7 +98,7 @@ NetworkSimResult SweepRunner::ExecutePoint(const NetworkSimConfig& config) {
   }
 }
 
-void SweepRunner::WorkerLoop() {
+void SweepRunner::WorkerLoop(int thread) {
   for (;;) {
     std::size_t pos = 0;
     Job job;
@@ -123,7 +126,7 @@ void SweepRunner::WorkerLoop() {
     if (have_job) {
       // The job runs unlocked; its callback owns whatever synchronization
       // the submitter needs.
-      job.done(ExecutePoint(job.config));
+      job.done(ResultOrErrorSlot([&] { return RunNetworkSim(job.config); }));
       continue;
     }
 
@@ -150,16 +153,23 @@ void SweepRunner::WorkerLoop() {
 
     if (!from_cache) {
       // The point runs unlocked: RunNetworkSim touches only its own state.
-      result = ExecutePoint(config);
+      // A throwing point must not escape the worker thread — that would
+      // std::terminate the process and wedge Run() waiting on a slot that
+      // never completes. It becomes a failed result instead, and the pool
+      // stays usable for later work.
+      result = ResultOrErrorSlot([&] {
+        return *run_point_ ? (*run_point_)(thread, index, config)
+                           : RunNetworkSim(config);
+      });
       if (cache_) cache_->Put(config, result);  // non-throwing by contract
     }
 
     {
       std::lock_guard<std::mutex> lock(mu_);
       (*results_)[index] = std::move(result);
-      if (from_cache) ++resumed_;
+      if (from_cache) sources_[index] = Source::kCache;
       ++done_;
-      done_points_ += satisfies_[pos];
+      done_points_ += satisfies_[index];
       if (progress_) progress_(done_points_, batch_->size());
       if (done_ == work_.size()) done_cv_.notify_all();
     }
@@ -167,19 +177,18 @@ void SweepRunner::WorkerLoop() {
 }
 
 std::vector<NetworkSimResult> SweepRunner::Run(
-    const std::vector<NetworkSimConfig>& configs) {
+    const std::vector<NetworkSimConfig>& configs, const PointFn& run_point) {
   std::vector<NetworkSimResult> results(configs.size());
-  if (configs.empty()) return results;
 
   // Within-batch dedup: identical points (same NetworkSimResultKey) are
   // simulated once and fanned out to every slot afterwards. Configs with
   // live factory callbacks are exempt — the key only hashes factory
   // *presence*, so two different factories would collide.
   const std::size_t n = configs.size();
+  std::vector<Source> sources(n, Source::kRan);
   std::vector<std::size_t> canonical(n);
   std::vector<std::size_t> work;
-  std::vector<std::size_t> satisfies;
-  std::vector<std::size_t> work_pos(n, n);
+  std::vector<std::size_t> satisfies(n, 0);
   {
     std::unordered_map<std::uint64_t, std::size_t> first_by_key;
     first_by_key.reserve(n);
@@ -190,15 +199,11 @@ std::vector<NetworkSimResult> SweepRunner::Run(
             first_by_key.try_emplace(NetworkSimResultKey(configs[i]), i);
         if (!inserted) {
           canonical[i] = it->second;
-          continue;
+          sources[i] = Source::kDeduped;
         }
       }
-      work_pos[i] = work.size();
-      work.push_back(i);
-      satisfies.push_back(1);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (canonical[i] != i) ++satisfies[work_pos[canonical[i]]];
+      if (canonical[i] == i) work.push_back(i);
+      ++satisfies[canonical[i]];
     }
   }
 
@@ -206,15 +211,15 @@ std::vector<NetworkSimResult> SweepRunner::Run(
     std::lock_guard<std::mutex> lock(mu_);
     VIXNOC_CHECK(batch_ == nullptr);  // one batch at a time
     batch_ = &configs;
+    run_point_ = &run_point;
     results_ = &results;
     work_ = std::move(work);
     satisfies_ = std::move(satisfies);
+    sources_ = std::move(sources);
     next_ = 0;
     done_ = 0;
     done_points_ = 0;
-    resumed_ = 0;
     defective_ = 0;
-    deduped_ = n - work_.size();
   }
   work_cv_.notify_all();
 
@@ -222,6 +227,7 @@ std::vector<NetworkSimResult> SweepRunner::Run(
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return done_ == work_.size(); });
     batch_ = nullptr;
+    run_point_ = nullptr;
     results_ = nullptr;
   }
 
@@ -243,17 +249,6 @@ void SweepRunner::Submit(NetworkSimConfig config,
 
 std::vector<NetworkSimResult> RunSweep(
     const std::vector<NetworkSimConfig>& configs, int num_threads) {
-  if (num_threads == 0) {
-    // The common auto-threaded call reuses one process-wide pool: callers
-    // that loop over RunSweep (benches, the coordinator's in-process
-    // fallback) stop paying a full thread spawn/join per call. Run() takes
-    // one batch at a time, so concurrent callers are serialized here. The
-    // pool joins its workers in its static destructor at exit.
-    static SweepRunner shared(0);
-    static std::mutex shared_mu;
-    std::lock_guard<std::mutex> lock(shared_mu);
-    return shared.Run(configs);
-  }
   SweepRunner runner(num_threads);
   return runner.Run(configs);
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -44,6 +45,13 @@ inline constexpr int kMaxThreadCount = 1024;
 /// hardware concurrency; values above kMaxThreadCount are capped with a
 /// warning.
 int ResolveThreadCount(int requested = 0);
+
+/// Calls `run` (RunNetworkSim or a stand-in for it) and turns an exception
+/// into an error result: outcome.status == SimStatus::kInvariantViolation
+/// with the message. A throwing point reads the same in a SweepRunner pool
+/// and in a worker subprocess.
+NetworkSimResult ResultOrErrorSlot(
+    const std::function<NetworkSimResult()>& run);
 
 /// Outcome of probing a per-point result cache.
 enum class PointCacheStatus {
@@ -106,9 +114,18 @@ class SweepRunner {
   /// tick of defective_cache_points().
   void SetCache(std::shared_ptr<PointCache> cache);
 
+  /// Where a slot of the most recent Run got its result.
+  enum class Source : std::uint8_t {
+    kRan,      ///< the point function ran it
+    kCache,    ///< loaded from the cache
+    kDeduped,  ///< copied from an identical earlier point of the batch
+  };
+  /// Per-slot provenance of the most recent Run, parallel to its results.
+  const std::vector<Source>& sources() const { return sources_; }
+
   /// Points of the most recent Run that were satisfied from the cache
   /// instead of being simulated.
-  std::size_t resumed_points() const { return resumed_; }
+  std::size_t resumed_points() const { return Count(Source::kCache); }
 
   /// Points of the most recent Run whose cache entry existed but was
   /// defective (unreadable, corrupt, or key-mismatched) and was therefore
@@ -122,18 +139,30 @@ class SweepRunner {
   /// result fanned out to every duplicate slot. Configs carrying live
   /// factory callbacks never dedupe (the key only records factory
   /// presence, not identity).
-  std::size_t deduped_points() const { return deduped_; }
+  std::size_t deduped_points() const { return Count(Source::kDeduped); }
+
+  /// Computes one point of a batch: `index` is its slot in the batch and
+  /// `thread` the pool thread running it (0..num_threads()-1), so a caller
+  /// can keep one resource per thread. The default is a direct
+  /// RunNetworkSim call; the process-isolation SweepCoordinator passes one
+  /// that ships the point to a worker subprocess. Called concurrently from
+  /// the pool threads, at most once per slot.
+  using PointFn = std::function<NetworkSimResult(
+      int thread, std::size_t index, const NetworkSimConfig& config)>;
 
   /// Runs every point and blocks until all complete. results[i] is the
-  /// point configs[i] would produce through a direct RunNetworkSim call.
-  /// A point that throws (SimError from an invalid config, or any other
-  /// std::exception) does not kill the worker or wedge the batch: its slot
-  /// comes back with outcome.status == SimStatus::kInvariantViolation and
-  /// the exception message, the remaining points run normally, and the
-  /// pool accepts further batches. Only one Run may be in flight at a
-  /// time; async Submit jobs interleave freely with a running batch.
+  /// point configs[i] would produce through `run_point` (RunNetworkSim by
+  /// default). Cache probes, within-batch dedup and the submission-order
+  /// merge happen here, around `run_point`. A point that throws (SimError
+  /// from an invalid config, or any other std::exception) does not kill
+  /// the worker or wedge the batch: its slot comes back with
+  /// outcome.status == SimStatus::kInvariantViolation and the exception
+  /// message, the remaining points run normally, and the pool accepts
+  /// further batches. Only one Run may be in flight at a time; async
+  /// Submit jobs interleave freely with a running batch.
   std::vector<NetworkSimResult> Run(
-      const std::vector<NetworkSimConfig>& configs);
+      const std::vector<NetworkSimConfig>& configs,
+      const PointFn& run_point = nullptr);
 
   /// Asynchronous single-point execution on the same pool, for callers
   /// (the vixnocd daemon) that schedule points one at a time rather than
@@ -153,15 +182,13 @@ class SweepRunner {
     std::function<void(NetworkSimResult)> done;
   };
 
-  void WorkerLoop();
-  /// RunNetworkSim with Run's exception-to-error-slot convention.
-  static NetworkSimResult ExecutePoint(const NetworkSimConfig& config);
+  void WorkerLoop(int thread);
+  std::size_t Count(Source source) const;
 
   std::vector<std::thread> workers_;
   std::shared_ptr<PointCache> cache_;
-  std::size_t resumed_ = 0;
+  std::vector<Source> sources_;
   std::size_t defective_ = 0;
-  std::size_t deduped_ = 0;
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for work / shutdown
@@ -170,8 +197,9 @@ class SweepRunner {
 
   // Current batch (valid while batch_ != nullptr). work_ holds the indices
   // actually simulated (one per dedup group, in submission order);
-  // satisfies_[pos] is how many batch slots work_[pos] stands for.
+  // satisfies_[i] is how many batch slots point i stands for.
   const std::vector<NetworkSimConfig>* batch_ = nullptr;
+  const PointFn* run_point_ = nullptr;
   std::vector<NetworkSimResult>* results_ = nullptr;
   std::vector<std::size_t> work_;
   std::vector<std::size_t> satisfies_;
@@ -184,12 +212,9 @@ class SweepRunner {
   ProgressFn progress_;
 };
 
-/// One-shot convenience. With `num_threads` == 0 (the default) the batch
-/// runs on a lazily created process-wide shared pool — callers that loop
-/// over RunSweep no longer pay a thread-pool spawn/join per call. An
-/// explicit thread count still gets a dedicated pool of exactly that size
-/// (the determinism tests pin results across specific counts).
+/// One-shot convenience: runs the batch on a dedicated pool of
+/// `num_threads` workers (ResolveThreadCount convention).
 std::vector<NetworkSimResult> RunSweep(
-    const std::vector<NetworkSimConfig>& configs, int num_threads = 0);
+    const std::vector<NetworkSimConfig>& configs, int num_threads);
 
 }  // namespace vixnoc

@@ -176,9 +176,11 @@ SnapshotReader::SnapshotReader(std::string bytes) {
                    std::to_string(kSnapshotFormatVersion) + ")");
   }
   fingerprint_ = cur.U64("config fingerprint");
-  const std::uint32_t num_sections = cur.U32("section count");
+  // A section is at least its name length, payload length and checksum.
+  const std::size_t num_sections = BoundedCount(
+      cur.U32("section count"), cur.remaining(), 4 + 8 + 8, "checkpoint file");
   sections_.reserve(num_sections);
-  for (std::uint32_t i = 0; i < num_sections; ++i) {
+  for (std::size_t i = 0; i < num_sections; ++i) {
     const std::uint32_t name_len = cur.U32("section name length");
     if (name_len > cur.remaining()) {
       throw SimError("checkpoint file truncated inside section " +
@@ -293,14 +295,33 @@ bool SnapshotReader::B() {
   return v != 0;
 }
 
-std::size_t SnapshotReader::Count(std::size_t elem_size) {
-  const std::uint64_t n = U64();
-  const std::size_t remaining = Payload().size() - pos_;
-  if (elem_size > 0 && n > remaining / elem_size) {
-    Fail("count " + std::to_string(n) + " exceeds the " +
-         std::to_string(remaining) + " bytes left in the section");
+std::size_t BoundedCount(std::uint64_t count, std::size_t remaining,
+                         std::size_t min_elem_bytes, const char* what) {
+  if (min_elem_bytes > 0 && count > remaining / min_elem_bytes) {
+    throw SimError(std::string(what) + ": count " + std::to_string(count) +
+                   " exceeds the " + std::to_string(remaining) +
+                   " bytes left (at least " + std::to_string(min_elem_bytes) +
+                   " per element)");
   }
-  return static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(count);
+}
+
+std::size_t SnapshotReader::Count(std::size_t min_elem_bytes) {
+  return Bound(U64(), min_elem_bytes);
+}
+
+std::size_t SnapshotReader::CountU32(std::size_t min_elem_bytes) {
+  return Bound(U32(), min_elem_bytes);
+}
+
+std::size_t SnapshotReader::Bound(std::uint64_t count,
+                                  std::size_t min_elem_bytes) {
+  try {
+    return BoundedCount(count, Payload().size() - pos_, min_elem_bytes,
+                        "element count");
+  } catch (const SimError& e) {
+    Fail(e.what());  // names the section and offset
+  }
 }
 
 std::string SnapshotReader::Str() {

@@ -36,6 +36,14 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 std::uint64_t Fnv1a64(const void* data, std::size_t size,
                       std::uint64_t seed = 0xcbf29ce484222325ull);
 
+/// Bounds a decoded element count by the bytes left to decode from: every
+/// element takes at least `min_elem_bytes` on the wire, so a count above
+/// remaining / min_elem_bytes is corrupt or hostile — checksums are not
+/// authentication. Throws SimError naming `what`, before the caller
+/// reserves memory on the count's word. Returns the count.
+std::size_t BoundedCount(std::uint64_t count, std::size_t remaining,
+                         std::size_t min_elem_bytes, const char* what);
+
 /// Accumulates sections of primitive-encoded state, then assembles the
 /// final framed byte string. Primitives append to the currently open
 /// section; opening a section while one is open is a usage error (checked).
@@ -103,16 +111,20 @@ class SnapshotReader {
   std::vector<int> VecI32();
   std::vector<bool> VecBool();
 
-  /// Reads a count written by a Vec*/Str length prefix and validates it
-  /// against the bytes remaining in the section (so a corrupted length
-  /// cannot drive a multi-gigabyte allocation).
-  std::size_t Count(std::size_t elem_size);
+  /// Reads a u64 count (a Vec*/Str length prefix) and bounds it with
+  /// BoundedCount against the bytes remaining in the section, so a
+  /// corrupted length cannot drive a multi-gigabyte allocation.
+  std::size_t Count(std::size_t min_elem_bytes);
+  /// Same for a u32 count.
+  std::size_t CountU32(std::size_t min_elem_bytes);
 
  private:
   struct Section {
     std::string payload;
   };
   [[noreturn]] void Fail(const std::string& why) const;
+  /// BoundedCount against the bytes left in the open section.
+  std::size_t Bound(std::uint64_t count, std::size_t min_elem_bytes);
   const std::string& Payload() const;
 
   std::vector<std::pair<std::string, Section>> sections_;

@@ -14,6 +14,8 @@
 // VIXNOC_TEST_*_POINT environment hooks.
 #include "exec/coordinator.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -156,6 +158,27 @@ TEST(ExecProtocolTest, PointFrameRoundTripsNonDefaultConfig) {
   EXPECT_EQ(out.config.vc_policy, c.vc_policy);
 }
 
+TEST(ExecProtocolTest, MinEncodedConfigBytesIsALowerBound) {
+  // Decoders bound config counts with kMinEncodedConfigBytes, so it must
+  // not exceed the encoding of a config whose variable-length fields are
+  // all empty.
+  const auto section_bytes = [](const NetworkSimConfig* c) {
+    SnapshotWriter w;
+    w.BeginSection("c");
+    if (c != nullptr) SaveNetworkSimConfig(w, *c);
+    w.EndSection();
+    return w.Finish(0).size();
+  };
+  NetworkSimConfig minimal;
+  minimal.routing.clear();
+  minimal.checkpoint_path.clear();
+  minimal.restore_path.clear();
+  minimal.deadlock_checkpoint_path.clear();
+  minimal.faults.forced_link_down.clear();
+  EXPECT_GE(section_bytes(&minimal) - section_bytes(nullptr),
+            kMinEncodedConfigBytes);
+}
+
 TEST(ExecProtocolTest, TopologyFactoryRefusedAtEncode) {
   PointFrame frame;
   frame.config.topology_factory = [] { return MakeMesh(4, 4); };
@@ -258,11 +281,18 @@ TEST(SweepCoordinatorTest, CrashOnceThenSucceedOnRetry) {
 
 TEST(SweepCoordinatorTest, HangPointIsKilledAndClassifiedTimeout) {
   const std::vector<NetworkSimConfig> points = TestBatch(4);
+  const auto start = std::chrono::steady_clock::now();
   const std::vector<NetworkSimResult> serial = SerialReference(points);
+  const double serial_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count();
 
   ScopedEnv hang("VIXNOC_TEST_HANG_POINT", "0");
   ExecPolicy policy = TestPolicy(2);
-  policy.point_timeout_seconds = 0.4;
+  // The deadline must clear every healthy point with room to spare, also
+  // in sanitizer builds where a point runs many times slower; the hung
+  // point overruns any deadline.
+  policy.point_timeout_seconds = std::max(0.4, 2.0 * serial_seconds);
   policy.max_retries = 1;
   SweepCoordinator coordinator(policy);
   const SweepExecResult exec = coordinator.Run(points);
@@ -354,7 +384,7 @@ TEST(SweepCoordinatorTest, CheckpointCacheServesCompletedPoints) {
   const std::string dir = FreshDir("cache");
 
   ExecPolicy policy = TestPolicy(2);
-  policy.checkpoint_dir = dir;
+  policy.cache = std::make_shared<ResultStore>(dir);
   const SweepExecResult first = SweepCoordinator(policy).Run(points);
   ASSERT_EQ(first.cached_points, 0u);
 
@@ -386,7 +416,7 @@ TEST(SweepCoordinatorTest, CrashedPointRecoversFromCacheAssistedRerun) {
   const std::string dir = FreshDir("crash_cache");
 
   ExecPolicy policy = TestPolicy(2);
-  policy.checkpoint_dir = dir;
+  policy.cache = std::make_shared<ResultStore>(dir);
   policy.max_retries = 1;
   {
     // First run: point 3 crashes out; the healthy points land in cache.

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -115,6 +116,14 @@ TEST(ServerProtocolTest, BatchAndControlFramesRoundTrip) {
   EXPECT_EQ(DecodeRequest(EncodeStatsRequest()).kind, RequestKind::kStats);
   EXPECT_EQ(DecodeRequest(EncodeShutdownRequest()).kind,
             RequestKind::kShutdown);
+
+  // A checksum-valid frame whose count claims UINT32_MAX points with no
+  // bytes behind it is refused before anything is reserved for it.
+  SnapshotWriter hostile;
+  hostile.BeginSection("vixd_batch");
+  hostile.U64(UINT32_MAX);
+  hostile.EndSection();
+  EXPECT_THROW(DecodeRequest(hostile.Finish(0)), SimError);
 }
 
 TEST(ServerProtocolTest, PointReplyRoundTripsWithAndWithoutResult) {
