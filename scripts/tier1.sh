@@ -33,7 +33,10 @@
 #  9. perf smoke gate: bench_sim_speed compared against the committed
 #     trajectory (BENCH_sim_speed.json) via scripts/bench_trajectory.py;
 #     the trajectory includes the sweep_process arm, so subprocess-mode
-#     throughput is gated alongside the in-process arms.
+#     throughput is gated alongside the in-process arms;
+# 10. benchmark self-test: perfbench/run.py --selftest builds the
+#     benchmark against src/ and runs every workload tiny — an API move
+#     that breaks the benchmark fails here, not after merge.
 #
 # Usage: scripts/tier1.sh [build-dir-prefix]   (default: build)
 set -euo pipefail
@@ -288,6 +291,18 @@ if command -v python3 >/dev/null 2>&1; then
     --results "${PREFIX}/perf_smoke.json" --max-regression 0.5
 else
   echo "python3 not found; skipping perf smoke gate"
+fi
+
+echo "== tier1: benchmark self-test =="
+# perfbench/ builds its own Release copy of the libraries and the sweep
+# worker (.bench_build/perfbench) and calls the point codec, the
+# coordinator and the daemon client directly. --selftest runs every
+# workload tiny, traced and untraced, plus an injected digest mismatch
+# that must be reported as a failed operation.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --selftest
+else
+  echo "python3 not found; skipping benchmark self-test"
 fi
 
 echo "== tier1: OK =="

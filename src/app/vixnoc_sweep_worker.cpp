@@ -1,10 +1,12 @@
 // vixnoc_sweep_worker: the subprocess half of crash-isolated sweeps.
 //
-// Reads length-prefixed point frames on stdin, runs each point through
-// the same deterministic RunNetworkSim the in-process path uses, and
-// writes length-prefixed result frames on stdout (exec/exec_protocol.hpp
-// describes the wire format). Exits 0 on clean EOF. stdout carries
-// nothing but result frames — all diagnostics go to stderr.
+// Speaks the point protocol of exec/exec_protocol.hpp, the same frames
+// the vixnocd daemon serves: reads length-prefixed "vixd_point" requests
+// on stdin, runs each point through the same deterministic RunNetworkSim
+// the in-process path uses, and writes one "vixd_reply" frame per point
+// on stdout (status ok, source computed, the point's result key and its
+// result). Exits 0 on clean EOF. stdout carries nothing but replies — all
+// diagnostics go to stderr.
 //
 // The coordinator (exec/coordinator.hpp) treats any deviation — nonzero
 // exit, death by signal, a short or undecodable frame, or silence past
@@ -18,15 +20,17 @@
 //   VIXNOC_TEST_CRASH_POINT=<i>[:<n>]     abort() on point i
 //   VIXNOC_TEST_HANG_POINT=<i>[:<n>]      hang forever on point i
 //   VIXNOC_TEST_EXIT_POINT=<i>[:<n>]      _exit(41) on point i
-//   VIXNOC_TEST_BADFRAME_POINT=<i>[:<n>]  write a truncated result frame
+//   VIXNOC_TEST_BADFRAME_POINT=<i>[:<n>]  write a truncated reply frame
 //                                         for point i, then exit 0
 //
-// With the ":<n>" suffix the hook only fires while the frame's attempt
-// counter is below n, so a "crash twice, then succeed" retry path is a
+// i is the submission index from the request's "exec" section. With the
+// ":<n>" suffix the hook only fires while that section's attempt counter
+// is below n, so a "crash twice, then succeed" retry path is a
 // one-variable setup. Without it the hook fires on every attempt.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
@@ -35,6 +39,7 @@
 #include "exec/exec_protocol.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/sweep.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace vixnoc {
 namespace {
@@ -57,33 +62,22 @@ bool HookFires(const char* env_name, std::uint64_t index,
   return hook_index == index && attempt < max_attempt;
 }
 
-void ApplyTestHooks(const PointFrame& point) {
-  if (HookFires("VIXNOC_TEST_CRASH_POINT", point.index, point.attempt)) {
+void ApplyTestHooks(const ExecTag& tag) {
+  const auto fires = [&](const char* env_name, const char* what) {
+    if (!HookFires(env_name, tag.index, tag.attempt)) return false;
     std::fprintf(stderr,
-                 "vixnoc_sweep_worker: injected crash on point %llu "
+                 "vixnoc_sweep_worker: injected %s on point %llu "
                  "(attempt %u)\n",
-                 static_cast<unsigned long long>(point.index), point.attempt);
-    std::abort();
-  }
-  if (HookFires("VIXNOC_TEST_HANG_POINT", point.index, point.attempt)) {
-    std::fprintf(stderr,
-                 "vixnoc_sweep_worker: injected hang on point %llu "
-                 "(attempt %u)\n",
-                 static_cast<unsigned long long>(point.index), point.attempt);
+                 what, static_cast<unsigned long long>(tag.index),
+                 tag.attempt);
+    return true;
+  };
+  if (fires("VIXNOC_TEST_CRASH_POINT", "crash")) std::abort();
+  if (fires("VIXNOC_TEST_HANG_POINT", "hang")) {
     for (;;) ::pause();  // no CPU burn; the coordinator's watchdog kills us
   }
-  if (HookFires("VIXNOC_TEST_EXIT_POINT", point.index, point.attempt)) {
-    std::fprintf(stderr,
-                 "vixnoc_sweep_worker: injected exit(41) on point %llu "
-                 "(attempt %u)\n",
-                 static_cast<unsigned long long>(point.index), point.attempt);
-    std::_Exit(41);
-  }
-  if (HookFires("VIXNOC_TEST_BADFRAME_POINT", point.index, point.attempt)) {
-    std::fprintf(stderr,
-                 "vixnoc_sweep_worker: injected short frame on point %llu "
-                 "(attempt %u)\n",
-                 static_cast<unsigned long long>(point.index), point.attempt);
+  if (fires("VIXNOC_TEST_EXIT_POINT", "exit(41)")) std::_Exit(41);
+  if (fires("VIXNOC_TEST_BADFRAME_POINT", "short frame")) {
     // A length prefix promising 64 bytes, followed by only 8: the
     // coordinator sees the stream end mid-frame with exit status 0.
     const unsigned char bytes[16] = {64, 0, 0, 0, 0, 0, 0, 0,
@@ -102,29 +96,31 @@ int WorkerMain() {
                    in.detail.c_str());
       return 3;
     }
-    PointFrame point;
+    ExecTag tag;
+    std::optional<NetworkSimConfig> config;
     try {
-      point = DecodePointFrame(in.payload);
+      SnapshotReader r(in.payload);
+      config = LoadPointRequest(r, &tag);
+      VIXNOC_REQUIRE(config.has_value(), "frame is not a point request");
     } catch (const SimError& e) {
       std::fprintf(stderr, "vixnoc_sweep_worker: undecodable point: %s\n",
                    e.what());
       return 4;
     }
-    ApplyTestHooks(point);
+    ApplyTestHooks(tag);
 
     // Same per-point error contract as SweepRunner's worker threads: a
     // recoverable simulation error becomes a failed result slot, and the
     // worker stays alive for the next point.
-    const NetworkSimResult result =
-        ResultOrErrorSlot([&] { return RunNetworkSim(point.config); });
+    PointReply reply;
+    reply.status = ServeStatus::kOk;
+    reply.source = ServeSource::kComputed;
+    reply.result_key = NetworkSimResultKey(*config);
+    reply.result = ResultOrErrorSlot([&] { return RunNetworkSim(*config); });
 
     std::string error;
-    if (!WriteFrame(STDOUT_FILENO,
-                    EncodeResultFrame(point.index,
-                                      NetworkSimConfigFingerprint(point.config),
-                                      result),
-                    &error)) {
-      std::fprintf(stderr, "vixnoc_sweep_worker: cannot write result: %s\n",
+    if (!WriteFrame(STDOUT_FILENO, EncodePointReply(reply), &error)) {
+      std::fprintf(stderr, "vixnoc_sweep_worker: cannot write reply: %s\n",
                    error.c_str());
       return 5;
     }

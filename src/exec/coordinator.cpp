@@ -15,7 +15,6 @@
 #include <thread>
 
 #include <fcntl.h>
-#include <pthread.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -61,8 +60,8 @@ namespace {
 /// One worker subprocess owned by a coordinator slot thread.
 struct Worker {
   pid_t pid = -1;
-  int in_fd = -1;   ///< coordinator writes point frames (worker stdin)
-  int out_fd = -1;  ///< coordinator reads result frames (worker stdout)
+  int in_fd = -1;   ///< coordinator writes point requests (worker stdin)
+  int out_fd = -1;  ///< coordinator reads point replies (worker stdout)
   bool alive() const { return pid > 0; }
 };
 
@@ -173,26 +172,15 @@ struct Attempt {
   NetworkSimResult result;
 };
 
-/// Sends point `index` to the live worker `w` and reads its result back.
+/// Sends a point request to the live worker `w` and reads its reply back.
 /// On failure the worker is reaped — or killed, when its stream can no
 /// longer be trusted — and the failure classified; the caller respawns.
-Attempt Dispatch(Worker* w, std::size_t index, int attempt,
-                 const NetworkSimConfig& config, double timeout_seconds) {
-  // A dead peer must surface as EPIPE from write(), not SIGPIPE.
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
-
-  PointFrame pf;
-  pf.index = index;
-  pf.attempt = static_cast<std::uint32_t>(attempt);
-  pf.config = config;
-  const std::uint64_t fp = NetworkSimConfigFingerprint(pf.config);
-
+Attempt Dispatch(Worker* w, const ExecTag& tag, const NetworkSimConfig& config,
+                 double timeout_seconds) {
+  BlockSigpipe();
   Attempt out;
   std::string werr;
-  if (!WriteFrame(w->in_fd, EncodePointFrame(pf), &werr)) {
+  if (!WriteFrame(w->in_fd, EncodePointRequest(config, &tag), &werr)) {
     // The worker died before (or while) reading the point.
     out.detail = ReapWorker(w) + " before accepting the point";
     out.failure = out.detail.rfind("signal", 0) == 0 ? ExecFailure::kSignal
@@ -204,21 +192,28 @@ Attempt Dispatch(Worker* w, std::size_t index, int attempt,
   switch (rr.status) {
     case FrameRead::Status::kOk:
       try {
-        ResultFrame rf = DecodeResultFrame(rr.payload);
-        if (rf.index != index || rf.config_fingerprint != fp) {
+        PointReply reply = DecodePointReply(rr.payload);
+        // One point is in flight per worker, so the key alone proves the
+        // reply answers it.
+        const std::uint64_t key = NetworkSimResultKey(config);
+        if (reply.status != ServeStatus::kOk || reply.result_key != key) {
+          char buf[128];
+          std::snprintf(buf, sizeof buf,
+                        "%s reply for key %016llx (expected ok, %016llx)",
+                        ToString(reply.status).c_str(),
+                        static_cast<unsigned long long>(reply.result_key),
+                        static_cast<unsigned long long>(key));
           out.failure = ExecFailure::kBadFrame;
-          out.detail = "result frame for point " + std::to_string(rf.index) +
-                       " (expected " + std::to_string(index) +
-                       ") or mismatched fingerprint; " + KillWorker(w);
+          out.detail = std::string(buf) + "; " + KillWorker(w);
           out.event = WorkerEvent::Kind::kKill;
         } else {
-          out.result = std::move(rf.result);
+          out.result = std::move(reply.result);
         }
       } catch (const SimError& e) {
         // Right length, rotten bytes: the worker's stream state is
         // untrustworthy, so it is replaced.
         out.failure = ExecFailure::kBadFrame;
-        out.detail = std::string("undecodable result frame: ") + e.what() +
+        out.detail = std::string("undecodable point reply: ") + e.what() +
                      "; " + KillWorker(w);
         out.event = WorkerEvent::Kind::kKill;
       }
@@ -357,8 +352,9 @@ SweepExecResult SweepCoordinator::Run(
                                          static_cast<long>(w.pid), ""});
       }
       const pid_t pid = w.pid;
-      Attempt a = Dispatch(&w, index, attempt, config,
-                           policy_.point_timeout_seconds);
+      Attempt a = Dispatch(
+          &w, ExecTag{index, static_cast<std::uint32_t>(attempt)}, config,
+          policy_.point_timeout_seconds);
       st.attempts = attempt + 1;
       if (a.failure == ExecFailure::kNone) {
         st.isolated = true;

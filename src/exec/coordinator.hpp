@@ -14,9 +14,9 @@
 //    each worker has one point in flight;
 //  * enforces a per-point wall-clock deadline — an overrunning worker is
 //    SIGKILLed and the point classified kTimeout;
-//  * classifies worker failure (nonzero exit, death by signal,
-//    malformed/short result frame, deadline, spawn failure) into the
-//    point's ExecStatus and retries on a respawned worker, up to
+//  * classifies worker failure (nonzero exit, death by signal, a
+//    malformed, short or mismatched point reply, deadline, spawn failure)
+//    into the point's ExecStatus and retries on a respawned worker, up to
 //    ExecPolicy::max_retries times, after an exponential backoff that
 //    parks the calling runner thread;
 //  * runs a point a worker cannot take (a live factory callback, no

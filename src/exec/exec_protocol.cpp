@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 
 #include <poll.h>
+#include <pthread.h>
 #include <unistd.h>
 
 #include "common/check.hpp"
@@ -16,10 +18,14 @@ namespace vixnoc {
 
 namespace {
 
+constexpr const char kPointSection[] = "vixd_point";
+constexpr const char kExecSection[] = "exec";
+constexpr const char kReplySection[] = "vixd_reply";
+
 template <typename E>
 E CheckedEnum(std::uint8_t raw, E max, const char* what) {
   VIXNOC_REQUIRE(raw <= static_cast<std::uint8_t>(max),
-                 "point frame has invalid %s value %u", what, raw);
+                 "wire frame has invalid %s value %u", what, raw);
   return static_cast<E>(raw);
 }
 
@@ -154,53 +160,118 @@ NetworkSimConfig LoadNetworkSimConfig(SnapshotReader& r) {
   return c;
 }
 
-std::string EncodePointFrame(const PointFrame& frame) {
+std::string EncodePointRequest(const NetworkSimConfig& config,
+                               const ExecTag* tag) {
   SnapshotWriter w;
-  w.BeginSection("point");
-  w.U64(frame.index);
-  w.U32(frame.attempt);
-  SaveNetworkSimConfig(w, frame.config);
+  w.BeginSection(kPointSection);
+  SaveNetworkSimConfig(w, config);
   w.EndSection();
-  return w.Finish(NetworkSimConfigFingerprint(frame.config));
+  if (tag != nullptr) {
+    w.BeginSection(kExecSection);
+    w.U64(tag->index);
+    w.U32(tag->attempt);
+    w.EndSection();
+  }
+  return w.Finish(NetworkSimResultKey(config));
 }
 
-PointFrame DecodePointFrame(const std::string& bytes) {
-  SnapshotReader r(bytes);
-  r.OpenSection("point");
-  PointFrame frame;
-  frame.index = r.U64();
-  frame.attempt = r.U32();
-  frame.config = LoadNetworkSimConfig(r);
+std::optional<NetworkSimConfig> LoadPointRequest(SnapshotReader& r,
+                                                 ExecTag* tag) {
+  if (!r.HasSection(kPointSection)) return std::nullopt;
+  r.OpenSection(kPointSection);
+  NetworkSimConfig config = LoadNetworkSimConfig(r);
   r.CloseSection();
-  VIXNOC_REQUIRE(r.fingerprint() == NetworkSimConfigFingerprint(frame.config),
-                 "point frame fingerprint %016llx does not match its "
-                 "config's %016llx",
+  const std::uint64_t key = NetworkSimResultKey(config);
+  VIXNOC_REQUIRE(r.fingerprint() == key,
+                 "point request fingerprint %016llx does not match the "
+                 "config's result key %016llx",
                  static_cast<unsigned long long>(r.fingerprint()),
-                 static_cast<unsigned long long>(
-                     NetworkSimConfigFingerprint(frame.config)));
-  return frame;
+                 static_cast<unsigned long long>(key));
+  if (tag != nullptr) {
+    *tag = ExecTag{};
+    if (r.HasSection(kExecSection)) {
+      r.OpenSection(kExecSection);
+      tag->index = r.U64();
+      tag->attempt = r.U32();
+      r.CloseSection();
+    }
+  }
+  return config;
 }
 
-std::string EncodeResultFrame(std::uint64_t index,
-                              std::uint64_t config_fingerprint,
-                              const NetworkSimResult& result) {
+std::string ToString(ServeStatus status) {
+  switch (status) {
+    case ServeStatus::kOk:
+      return "ok";
+    case ServeStatus::kRetryAfter:
+      return "retry-after";
+    case ServeStatus::kError:
+      return "error";
+  }
+  return "unknown";
+}
+
+std::string ToString(ServeSource source) {
+  switch (source) {
+    case ServeSource::kNone:
+      return "none";
+    case ServeSource::kStore:
+      return "store";
+    case ServeSource::kComputed:
+      return "computed";
+    case ServeSource::kCoalesced:
+      return "coalesced";
+  }
+  return "unknown";
+}
+
+void SavePointReply(SnapshotWriter& w, const PointReply& reply) {
+  w.U8(static_cast<std::uint8_t>(reply.status));
+  w.U8(static_cast<std::uint8_t>(reply.source));
+  w.F64(reply.retry_after_seconds);
+  w.Str(reply.message);
+  w.U64(reply.result_key);
+  w.B(reply.status == ServeStatus::kOk);
+  if (reply.status == ServeStatus::kOk) SaveNetworkSimResult(w, reply.result);
+}
+
+PointReply LoadPointReply(SnapshotReader& r) {
+  PointReply out;
+  out.status = CheckedEnum(r.U8(), ServeStatus::kError, "reply status");
+  out.source = CheckedEnum(r.U8(), ServeSource::kCoalesced, "reply source");
+  out.retry_after_seconds = r.F64();
+  out.message = r.Str();
+  out.result_key = r.U64();
+  if (r.B()) out.result = LoadNetworkSimResult(r);
+  return out;
+}
+
+std::string EncodePointReply(const PointReply& reply) {
   SnapshotWriter w;
-  w.BeginSection("result");
-  w.U64(index);
-  SaveNetworkSimResult(w, result);
+  w.BeginSection(kReplySection);
+  SavePointReply(w, reply);
   w.EndSection();
-  return w.Finish(config_fingerprint);
+  return w.Finish(reply.result_key);
 }
 
-ResultFrame DecodeResultFrame(const std::string& bytes) {
-  SnapshotReader r(bytes);
-  r.OpenSection("result");
-  ResultFrame frame;
-  frame.index = r.U64();
-  frame.result = LoadNetworkSimResult(r);
+PointReply DecodePointReply(const std::string& payload) {
+  SnapshotReader r(payload);
+  r.OpenSection(kReplySection);
+  PointReply out = LoadPointReply(r);
   r.CloseSection();
-  frame.config_fingerprint = r.fingerprint();
-  return frame;
+  VIXNOC_REQUIRE(r.fingerprint() == out.result_key,
+                 "point reply container fingerprint does not match its "
+                 "result key");
+  return out;
+}
+
+bool IsPointReply(const std::string& payload) {
+  try {
+    SnapshotReader r(payload);
+    return r.HasSection(kReplySection);
+  } catch (const SimError&) {
+    return false;
+  }
 }
 
 FrameRead ReadFrame(int fd, double timeout_seconds) {
@@ -303,6 +374,13 @@ bool WriteFrame(int fd, const std::string& payload, std::string* error) {
   };
   return write_all(prefix, sizeof prefix) &&
          write_all(payload.data(), payload.size());
+}
+
+void BlockSigpipe() {
+  sigset_t sigpipe;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
 }
 
 }  // namespace vixnoc

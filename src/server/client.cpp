@@ -1,11 +1,9 @@
 #include "server/client.hpp"
 
 #include <chrono>
-#include <csignal>
 #include <cstring>
 #include <thread>
 
-#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -44,10 +42,7 @@ SimClient::SimClient(std::string socket_path, double connect_timeout_seconds)
                  "socket path '%s' exceeds the AF_UNIX limit",
                  socket_path_.c_str());
   // A dead daemon mid-write must surface as EPIPE, not kill the client.
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+  BlockSigpipe();
 
   const auto deadline =
       std::chrono::steady_clock::now() +

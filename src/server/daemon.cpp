@@ -1,13 +1,11 @@
 #include "server/daemon.hpp"
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
 
-#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -17,20 +15,6 @@
 #include "exec/exec_protocol.hpp"
 
 namespace vixnoc {
-
-namespace {
-
-/// Connection and accept threads must see a dead peer as EPIPE from
-/// write(), never SIGPIPE (which would kill an in-process daemon's host
-/// too, e.g. a test binary).
-void BlockSigpipeOnThisThread() {
-  sigset_t sigpipe;
-  sigemptyset(&sigpipe);
-  sigaddset(&sigpipe, SIGPIPE);
-  pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
-}
-
-}  // namespace
 
 SimDaemon::SimDaemon(DaemonConfig config) : config_(std::move(config)) {
   VIXNOC_REQUIRE(!config_.socket_path.empty(), "daemon socket path is empty");
@@ -84,7 +68,10 @@ void SimDaemon::Start() {
 }
 
 void SimDaemon::AcceptLoop() {
-  BlockSigpipeOnThisThread();
+  // Connection and accept threads must see a dead peer as EPIPE from
+  // write(), never SIGPIPE (which would kill an in-process daemon's host
+  // too, e.g. a test binary).
+  BlockSigpipe();
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
@@ -110,7 +97,7 @@ void SimDaemon::AcceptLoop() {
     // Detached: lifetime is tracked by active_connections_, which Stop
     // waits on after shutting every connection fd down.
     std::thread([this, fd] {
-      BlockSigpipeOnThisThread();
+      BlockSigpipe();
       ServeConnection(fd);
     }).detach();
   }

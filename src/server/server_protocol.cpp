@@ -1,18 +1,18 @@
 #include "server/server_protocol.hpp"
 
+#include <optional>
+#include <utility>
+
 #include "common/error.hpp"
-#include "exec/exec_protocol.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace vixnoc {
 
 namespace {
 
-constexpr const char kPointSection[] = "vixd_point";
 constexpr const char kBatchSection[] = "vixd_batch";
 constexpr const char kStatsSection[] = "vixd_stats";
 constexpr const char kShutdownSection[] = "vixd_shutdown";
-constexpr const char kReplySection[] = "vixd_reply";
 constexpr const char kBatchReplySection[] = "vixd_breply";
 constexpr const char kStatsReplySection[] = "vixd_dstats";
 constexpr const char kByeSection[] = "vixd_bye";
@@ -23,35 +23,26 @@ std::uint64_t FoldKeys(const std::vector<std::uint64_t>& keys) {
   return Fnv1a64(keys.data(), keys.size() * sizeof(std::uint64_t));
 }
 
-/// SavePointReply's output without a result: status, source, retry hint,
-/// message length, result key and the has-result flag.
-constexpr std::size_t kMinEncodedReplyBytes = 1 + 1 + 8 + 8 + 8 + 1;
-
-void SavePointReply(SnapshotWriter& w, const PointReply& r) {
-  w.U8(static_cast<std::uint8_t>(r.status));
-  w.U8(static_cast<std::uint8_t>(r.source));
-  w.F64(r.retry_after_seconds);
-  w.Str(r.message);
-  w.U64(r.result_key);
-  w.B(r.status == ServeStatus::kOk);
-  if (r.status == ServeStatus::kOk) SaveNetworkSimResult(w, r.result);
+std::string EncodeControl(const char* section) {
+  SnapshotWriter w;
+  w.BeginSection(section);
+  w.EndSection();
+  return w.Finish(ControlFrameFingerprint());
 }
 
-PointReply LoadPointReply(SnapshotReader& r) {
-  PointReply out;
-  const std::uint8_t status = r.U8();
-  VIXNOC_REQUIRE(status <= static_cast<std::uint8_t>(ServeStatus::kError),
-                 "point reply carries unknown status %u", status);
-  out.status = static_cast<ServeStatus>(status);
-  const std::uint8_t source = r.U8();
-  VIXNOC_REQUIRE(source <= static_cast<std::uint8_t>(ServeSource::kCoalesced),
-                 "point reply carries unknown source %u", source);
-  out.source = static_cast<ServeSource>(source);
-  out.retry_after_seconds = r.F64();
-  out.message = r.Str();
-  out.result_key = r.U64();
-  if (r.B()) out.result = LoadNetworkSimResult(r);
-  return out;
+void RequireControlFingerprint(const SnapshotReader& r, const char* section) {
+  VIXNOC_REQUIRE(r.fingerprint() == ControlFrameFingerprint(),
+                 "'%s' frame fingerprint %016llx is not the control "
+                 "fingerprint",
+                 section, static_cast<unsigned long long>(r.fingerprint()));
+}
+
+/// Opens, closes (so trailing payload bytes are refused) and authenticates
+/// a payload-free control section.
+void ReadControl(SnapshotReader& r, const char* section) {
+  r.OpenSection(section);
+  r.CloseSection();
+  RequireControlFingerprint(r, section);
 }
 
 }  // namespace
@@ -78,40 +69,6 @@ std::string ToString(RequestKind kind) {
   return "unknown";
 }
 
-std::string ToString(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::kOk:
-      return "ok";
-    case ServeStatus::kRetryAfter:
-      return "retry-after";
-    case ServeStatus::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
-std::string ToString(ServeSource source) {
-  switch (source) {
-    case ServeSource::kNone:
-      return "none";
-    case ServeSource::kStore:
-      return "store";
-    case ServeSource::kComputed:
-      return "computed";
-    case ServeSource::kCoalesced:
-      return "coalesced";
-  }
-  return "unknown";
-}
-
-std::string EncodePointRequest(const NetworkSimConfig& config) {
-  SnapshotWriter w;
-  w.BeginSection(kPointSection);
-  SaveNetworkSimConfig(w, config);
-  w.EndSection();
-  return w.Finish(NetworkSimResultKey(config));
-}
-
 std::string EncodeBatchRequest(const std::vector<NetworkSimConfig>& configs) {
   SnapshotWriter w;
   w.BeginSection(kBatchSection);
@@ -126,34 +83,16 @@ std::string EncodeBatchRequest(const std::vector<NetworkSimConfig>& configs) {
   return w.Finish(FoldKeys(keys));
 }
 
-std::string EncodeStatsRequest() {
-  SnapshotWriter w;
-  w.BeginSection(kStatsSection);
-  w.EndSection();
-  return w.Finish(ControlFrameFingerprint());
-}
+std::string EncodeStatsRequest() { return EncodeControl(kStatsSection); }
 
-std::string EncodeShutdownRequest() {
-  SnapshotWriter w;
-  w.BeginSection(kShutdownSection);
-  w.EndSection();
-  return w.Finish(ControlFrameFingerprint());
-}
+std::string EncodeShutdownRequest() { return EncodeControl(kShutdownSection); }
 
 Request DecodeRequest(const std::string& payload) {
   SnapshotReader r(payload);
   Request out;
-  if (r.HasSection(kPointSection)) {
+  if (std::optional<NetworkSimConfig> config = LoadPointRequest(r)) {
     out.kind = RequestKind::kPoint;
-    r.OpenSection(kPointSection);
-    out.configs.push_back(LoadNetworkSimConfig(r));
-    r.CloseSection();
-    const std::uint64_t key = NetworkSimResultKey(out.configs.back());
-    VIXNOC_REQUIRE(r.fingerprint() == key,
-                   "point request fingerprint %016llx does not match the "
-                   "config's result key %016llx",
-                   static_cast<unsigned long long>(r.fingerprint()),
-                   static_cast<unsigned long long>(key));
+    out.configs.push_back(std::move(*config));
     return out;
   }
   if (r.HasSection(kBatchSection)) {
@@ -173,33 +112,16 @@ Request DecodeRequest(const std::string& payload) {
   }
   if (r.HasSection(kStatsSection)) {
     out.kind = RequestKind::kStats;
+    ReadControl(r, kStatsSection);
     return out;
   }
   if (r.HasSection(kShutdownSection)) {
     out.kind = RequestKind::kShutdown;
+    ReadControl(r, kShutdownSection);
     return out;
   }
   VIXNOC_REQUIRE(false, "frame is not a recognized vixnocd request");
   return out;  // unreachable
-}
-
-std::string EncodePointReply(const PointReply& reply) {
-  SnapshotWriter w;
-  w.BeginSection(kReplySection);
-  SavePointReply(w, reply);
-  w.EndSection();
-  return w.Finish(reply.result_key);
-}
-
-PointReply DecodePointReply(const std::string& payload) {
-  SnapshotReader r(payload);
-  r.OpenSection(kReplySection);
-  PointReply out = LoadPointReply(r);
-  r.CloseSection();
-  VIXNOC_REQUIRE(r.fingerprint() == out.result_key,
-                 "point reply container fingerprint does not match its "
-                 "result key");
-  return out;
 }
 
 std::string EncodeBatchReply(const std::vector<PointReply>& replies) {
@@ -279,29 +201,15 @@ DaemonStats DecodeStatsReply(const std::string& payload) {
   s.store_defective = r.U64();
   s.store_gc_evicted = r.U64();
   r.CloseSection();
+  RequireControlFingerprint(r, kStatsReplySection);
   return s;
 }
 
-std::string EncodeShutdownReply() {
-  SnapshotWriter w;
-  w.BeginSection(kByeSection);
-  w.EndSection();
-  return w.Finish(ControlFrameFingerprint());
-}
+std::string EncodeShutdownReply() { return EncodeControl(kByeSection); }
 
 void DecodeShutdownReply(const std::string& payload) {
   SnapshotReader r(payload);
-  VIXNOC_REQUIRE(r.HasSection(kByeSection),
-                 "frame is not a shutdown acknowledgment");
-}
-
-bool IsPointReply(const std::string& payload) {
-  try {
-    SnapshotReader r(payload);
-    return r.HasSection(kReplySection);
-  } catch (const SimError&) {
-    return false;
-  }
+  ReadControl(r, kByeSection);
 }
 
 }  // namespace vixnoc

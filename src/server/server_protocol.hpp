@@ -1,13 +1,17 @@
 // Wire protocol between vixnoc_client and the vixnocd daemon.
 //
-// The service speaks the same length-prefixed snapshot-container frames as
-// the sweep worker protocol (exec/exec_protocol.hpp): every payload is a
-// snapshot container, so magic/version/per-section checksums validate each
-// frame for free, and the container's fingerprint slot authenticates the
-// content in both directions. Four request kinds and their replies:
+// The daemon speaks the point protocol of exec/exec_protocol.hpp — the
+// same "vixd_point" request and "vixd_reply" reply, encoded by the same
+// functions, that the sweep worker speaks — plus its own batch and
+// control frames, defined here. Every payload is a length-prefixed
+// snapshot container, and one fingerprint rule covers every frame that
+// carries points: the container's fingerprint slot holds the result key
+// (NetworkSimResultKey: evolution fingerprint + observation knobs), or the
+// order-sensitive fold of the per-point keys for a batch. Control frames
+// carry no point and are stamped with ControlFrameFingerprint.
 //
 //   point    := section "vixd_point"    { config }            fp = result key
-//   batch    := section "vixd_batch"   { count, configs... }  fp = key fold
+//   batch    := section "vixd_batch"    { count, configs... } fp = key fold
 //   stats    := section "vixd_stats"    {}                    fp = control
 //   shutdown := section "vixd_shutdown" {}                    fp = control
 //
@@ -17,19 +21,16 @@
 //   reply(stats)    := section "vixd_dstats"  { counters... }
 //   reply(shutdown) := section "vixd_bye"     {}
 //
-// The fingerprint slot of a point request/reply is NetworkSimResultKey —
-// the *result* content key (evolution fingerprint + observation knobs),
-// not the bare evolution fingerprint, because the daemon dedupes and
-// stores by what the client will actually receive. Clients verify the
-// reply key against the config they asked about; the daemon verifies
-// request payloads the same way. Configs carrying live factory callbacks
-// cannot cross the socket (same rule as the worker protocol).
+// Clients verify the reply key against the config they asked about; the
+// daemon verifies request payloads the same way. Configs carrying live
+// factory callbacks cannot cross the socket.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "exec/exec_protocol.hpp"
 #include "sim/network_sim.hpp"
 
 namespace vixnoc {
@@ -53,46 +54,15 @@ struct Request {
   std::vector<NetworkSimConfig> configs;
 };
 
-std::string EncodePointRequest(const NetworkSimConfig& config);
 std::string EncodeBatchRequest(const std::vector<NetworkSimConfig>& configs);
 std::string EncodeStatsRequest();
 std::string EncodeShutdownRequest();
 
 /// Decodes any request frame payload, validating the container fingerprint
-/// against the recomputed result key(s). Throws SimError on malformed or
-/// unrecognized payloads.
+/// against the recomputed result key(s), or against ControlFrameFingerprint
+/// for control frames. Throws SimError on malformed or unrecognized
+/// payloads.
 Request DecodeRequest(const std::string& payload);
-
-/// How a served point was satisfied.
-enum class ServeStatus : std::uint8_t {
-  kOk,          ///< result holds the point's NetworkSimResult
-  kRetryAfter,  ///< daemon at capacity (or draining); retry after the hint
-  kError,       ///< invalid request; message explains
-};
-
-enum class ServeSource : std::uint8_t {
-  kNone,       ///< not served (retry-after / error)
-  kStore,      ///< hit in the content-addressed result store
-  kComputed,   ///< this request triggered the simulation
-  kCoalesced,  ///< joined another request's in-flight simulation
-};
-
-std::string ToString(ServeStatus status);
-std::string ToString(ServeSource source);
-
-struct PointReply {
-  ServeStatus status = ServeStatus::kError;
-  ServeSource source = ServeSource::kNone;
-  double retry_after_seconds = 0.0;
-  std::string message;
-  /// NetworkSimResultKey of the config this reply answers; clients verify
-  /// it against their own recomputation.
-  std::uint64_t result_key = 0;
-  NetworkSimResult result;  ///< valid only when status == kOk
-};
-
-std::string EncodePointReply(const PointReply& reply);
-PointReply DecodePointReply(const std::string& payload);  ///< throws SimError
 
 std::string EncodeBatchReply(const std::vector<PointReply>& replies);
 std::vector<PointReply> DecodeBatchReply(const std::string& payload);
@@ -122,12 +92,8 @@ std::string EncodeStatsReply(const DaemonStats& stats);
 DaemonStats DecodeStatsReply(const std::string& payload);  ///< throws SimError
 
 std::string EncodeShutdownReply();
-/// Throws SimError when the payload is not a shutdown acknowledgment.
+/// Throws SimError when the payload is not an authentic shutdown
+/// acknowledgment.
 void DecodeShutdownReply(const std::string& payload);
-
-/// Is this reply payload a point reply (vs batch/stats/bye)? Lets a client
-/// surface a daemon-side decode error (sent as an error PointReply) for
-/// any request kind.
-bool IsPointReply(const std::string& payload);
 
 }  // namespace vixnoc

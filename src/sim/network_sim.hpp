@@ -123,7 +123,7 @@ struct NetworkSimConfig {
   /// Overrides `routing` with an arbitrary algorithm built for the sim's
   /// topology — the test escape hatch mirroring topology_factory. Like it,
   /// the factory cannot be hashed: only its presence enters the
-  /// fingerprint, and exec-frame serialization rejects it.
+  /// fingerprint, and wire serialization rejects it.
   std::function<std::unique_ptr<RoutingAlgorithm>(const Topology&)>
       routing_factory;
   /// When > 0, record a throughput/latency time series with one sample per

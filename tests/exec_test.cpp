@@ -20,11 +20,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -142,20 +144,20 @@ TEST(ExecProtocolTest, PointFrameRoundTripsNonDefaultConfig) {
   c.measure = 222;
   c.drain = 33;
 
-  PointFrame in;
-  in.index = 17;
-  in.attempt = 3;
-  in.config = c;
-  const PointFrame out = DecodePointFrame(EncodePointFrame(in));
-  EXPECT_EQ(out.index, 17u);
-  EXPECT_EQ(out.attempt, 3u);
+  // The worker's point request: the config plus the dispatch tag.
+  const ExecTag tag{17, 3};
+  SnapshotReader r(EncodePointRequest(c, &tag));
+  ExecTag got;
+  const std::optional<NetworkSimConfig> out = LoadPointRequest(r, &got);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(got.index, 17u);
+  EXPECT_EQ(got.attempt, 3u);
   // The fingerprint covers every evolution-relevant field, so equality of
   // fingerprints is equality of the wire-visible config.
-  EXPECT_EQ(NetworkSimConfigFingerprint(out.config),
-            NetworkSimConfigFingerprint(c));
-  EXPECT_EQ(out.config.faults.forced_link_down, c.faults.forced_link_down);
-  EXPECT_EQ(out.config.telemetry.enabled, true);
-  EXPECT_EQ(out.config.vc_policy, c.vc_policy);
+  EXPECT_EQ(NetworkSimConfigFingerprint(*out), NetworkSimConfigFingerprint(c));
+  EXPECT_EQ(out->faults.forced_link_down, c.faults.forced_link_down);
+  EXPECT_EQ(out->telemetry.enabled, true);
+  EXPECT_EQ(out->vc_policy, c.vc_policy);
 }
 
 TEST(ExecProtocolTest, MinEncodedConfigBytesIsALowerBound) {
@@ -180,23 +182,27 @@ TEST(ExecProtocolTest, MinEncodedConfigBytesIsALowerBound) {
 }
 
 TEST(ExecProtocolTest, TopologyFactoryRefusedAtEncode) {
-  PointFrame frame;
-  frame.config.topology_factory = [] { return MakeMesh(4, 4); };
-  EXPECT_THROW(EncodePointFrame(frame), SimError);
+  NetworkSimConfig c;
+  c.topology_factory = [] { return MakeMesh(4, 4); };
+  EXPECT_THROW((void)EncodePointRequest(c), SimError);
 }
 
 TEST(ExecProtocolTest, ResultFrameRoundTrips) {
+  // The worker's answer is a computed point reply keyed by the config.
   NetworkSimConfig c;
   c.warmup = 100;
   c.measure = 300;
   c.drain = 100;
-  const NetworkSimResult r = RunNetworkSim(c);
-  const std::string bytes =
-      EncodeResultFrame(5, NetworkSimConfigFingerprint(c), r);
-  const ResultFrame decoded = DecodeResultFrame(bytes);
-  EXPECT_EQ(decoded.index, 5u);
-  EXPECT_EQ(decoded.config_fingerprint, NetworkSimConfigFingerprint(c));
-  EXPECT_EQ(Bytes(decoded.result), Bytes(r));
+  PointReply reply;
+  reply.status = ServeStatus::kOk;
+  reply.source = ServeSource::kComputed;
+  reply.result_key = NetworkSimResultKey(c);
+  reply.result = RunNetworkSim(c);
+  const PointReply decoded = DecodePointReply(EncodePointReply(reply));
+  EXPECT_EQ(decoded.status, ServeStatus::kOk);
+  EXPECT_EQ(decoded.source, ServeSource::kComputed);
+  EXPECT_EQ(decoded.result_key, NetworkSimResultKey(c));
+  EXPECT_EQ(Bytes(decoded.result), Bytes(reply.result));
 }
 
 TEST(SweepCoordinatorTest, CleanBatchBitwiseIdenticalToSerial) {
@@ -341,6 +347,45 @@ TEST(SweepCoordinatorTest, ShortFrameIsClassifiedBadFrame) {
   EXPECT_EQ(exec.points[1].last_failure, ExecFailure::kBadFrame);
   EXPECT_EQ(exec.results[1].outcome.status, SimStatus::kExecFailure);
   EXPECT_EQ(exec.bad_frames, 1u);
+}
+
+TEST(SweepCoordinatorTest, ForeignOrNonOkReplyIsClassifiedBadFrame) {
+  // A stand-in worker that answers any request with a canned, well-formed
+  // reply: one that answers a different point, then one that answers the
+  // right point without a result. The result key is the only match the
+  // coordinator makes, so both must be refused as bad frames.
+  const std::vector<NetworkSimConfig> points = TestBatch(1);
+  const std::string dir = FreshDir("canned");
+  std::filesystem::create_directories(dir);
+  PointReply foreign;
+  foreign.status = ServeStatus::kOk;
+  foreign.source = ServeSource::kComputed;
+  foreign.result_key = NetworkSimResultKey(points[0]) ^ 1;
+  PointReply refused;
+  refused.status = ServeStatus::kError;
+  refused.result_key = NetworkSimResultKey(points[0]);
+  for (const PointReply& canned : {foreign, refused}) {
+    const std::string frame = dir + "/reply.bin";
+    const int fd = ::open(frame.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    std::string error;
+    ASSERT_TRUE(WriteFrame(fd, EncodePointReply(canned), &error)) << error;
+    ::close(fd);
+    const std::string worker = dir + "/worker.sh";
+    std::ofstream(worker) << "#!/bin/sh\ncat '" << frame
+                          << "'\nexec cat >/dev/null\n";
+    std::filesystem::permissions(worker, std::filesystem::perms::owner_all);
+
+    ExecPolicy policy = TestPolicy(1);
+    policy.worker_path = worker;
+    policy.max_retries = 0;
+    const SweepExecResult exec = SweepCoordinator(policy).Run(points);
+    EXPECT_EQ(exec.points[0].last_failure, ExecFailure::kBadFrame)
+        << exec.points[0].failure_detail;
+    EXPECT_EQ(exec.results[0].outcome.status, SimStatus::kExecFailure);
+    EXPECT_EQ(exec.bad_frames, 1u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCoordinatorTest, SpawnFailureDegradesToInProcess) {

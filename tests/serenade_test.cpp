@@ -2,12 +2,13 @@
 // results across thread counts, process isolation, and mid-run
 // checkpoint/restore — the allocator's RNG stream is a pure function of
 // (seed, request history)), allocator-level snapshot round trips, config
-// validation for the new pattern knobs, and exec-frame round trips of the
-// serenade/incast config fields.
+// validation for the new pattern knobs, and point-request round trips of
+// the serenade/incast config fields.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -273,16 +274,15 @@ TEST(SerenadeConfig, PointFrameRoundTripsNewFields) {
       SerenadePoint(TopologyKind::kMesh, PatternKind::kIncast, 0.05);
   c.hotspot_node = 9;
   c.incast_fanin = 5;
-  PointFrame frame;
-  frame.index = 3;
-  frame.attempt = 1;
-  frame.config = c;
-  const PointFrame back = DecodePointFrame(EncodePointFrame(frame));
-  EXPECT_EQ(back.config.scheme, AllocScheme::kSerenade);
-  EXPECT_EQ(back.config.pattern, PatternKind::kIncast);
-  EXPECT_EQ(back.config.hotspot_node, 9);
-  EXPECT_EQ(back.config.incast_fanin, 5);
-  EXPECT_EQ(NetworkSimConfigFingerprint(back.config),
+  const ExecTag tag{3, 1};
+  SnapshotReader r(EncodePointRequest(c, &tag));
+  const std::optional<NetworkSimConfig> back = LoadPointRequest(r);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->scheme, AllocScheme::kSerenade);
+  EXPECT_EQ(back->pattern, PatternKind::kIncast);
+  EXPECT_EQ(back->hotspot_node, 9);
+  EXPECT_EQ(back->incast_fanin, 5);
+  EXPECT_EQ(NetworkSimConfigFingerprint(*back),
             NetworkSimConfigFingerprint(c));
 }
 

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,9 +31,11 @@
 
 #include "common/error.hpp"
 #include "exec/exec_protocol.hpp"
+#include "routing/routing_algorithm.hpp"
 #include "server/client.hpp"
 #include "server/server_protocol.hpp"
 #include "snapshot/snapshot.hpp"
+#include "topology/topology.hpp"
 
 namespace vixnoc {
 namespace {
@@ -85,21 +89,127 @@ std::string Bytes(const NetworkSimResult& r) {
 // ---------------------------------------------------------------------------
 // Protocol round-trips (no daemon).
 
-TEST(ServerProtocolTest, PointRequestRoundTripsAndAuthenticates) {
-  const NetworkSimConfig config = ShortConfig(0.07, 42);
-  const std::string payload = EncodePointRequest(config);
-  const Request req = DecodeRequest(payload);
-  EXPECT_EQ(req.kind, RequestKind::kPoint);
-  ASSERT_EQ(req.configs.size(), 1u);
-  EXPECT_EQ(NetworkSimResultKey(req.configs[0]),
-            NetworkSimResultKey(config));
+/// A config that moves every wire field group off its default: forced link
+/// faults, an explicit vc_policy, telemetry, bursts and pipeline knobs.
+NetworkSimConfig NonDefaultConfig() {
+  NetworkSimConfig c;
+  c.topology = TopologyKind::kFBfly;
+  c.scheme = AllocScheme::kVix;
+  c.num_vcs = 4;
+  c.buffer_depth = 3;
+  c.packet_size = 2;
+  c.injection_rate = 0.17;
+  c.pattern = PatternKind::kTranspose;
+  c.arbiter = ArbiterKind::kMatrix;
+  c.vc_policy = VcAssignPolicy::kVixBalance;
+  c.ap_rotate_vcs = false;
+  c.pipeline_stages = 5;
+  c.vix_virtual_inputs = 2;
+  c.interleaved_vins = true;
+  c.prioritize_nonspeculative = true;
+  c.va_organization = VaOrganization::kSeparableArbitrated;
+  c.atomic_vc_alloc = true;
+  c.bursty = true;
+  c.burst_on_rate = 0.4;
+  c.mean_burst_cycles = 17.5;
+  c.sample_interval = 123;
+  c.faults.link_down_rate = 0.01;
+  c.faults.forced_link_down = {{3, 1}, {7, 2}};
+  c.faults.seed = 99;
+  c.watchdog_cycles = 7'777;
+  c.telemetry.enabled = true;
+  c.telemetry.trace_sample_period = 5;
+  c.seed = 42;
+  c.warmup = 111;
+  c.measure = 222;
+  c.drain = 33;
+  return c;
+}
 
-  // Any corrupted byte must fail decode, not deliver a different config.
-  for (std::size_t i = 0; i < payload.size(); i += 11) {
+/// The SERENADE arm's incast point with its pattern knobs set.
+NetworkSimConfig SerenadeIncastConfig() {
+  NetworkSimConfig c = ShortConfig(0.05, 7);
+  c.scheme = AllocScheme::kSerenade;
+  c.pattern = PatternKind::kIncast;
+  c.hotspot_node = 9;
+  c.incast_fanin = 5;
+  return c;
+}
+
+void ExpectSameWireConfig(const NetworkSimConfig& got,
+                          const NetworkSimConfig& want) {
+  // The fingerprint covers every evolution-relevant field and the result
+  // key adds the observation knobs, so equal keys mean an equal
+  // wire-visible config; the rest spells out the fields most likely to
+  // drift.
+  EXPECT_EQ(NetworkSimConfigFingerprint(got),
+            NetworkSimConfigFingerprint(want));
+  EXPECT_EQ(NetworkSimResultKey(got), NetworkSimResultKey(want));
+  EXPECT_EQ(got.faults.forced_link_down, want.faults.forced_link_down);
+  EXPECT_EQ(got.telemetry.enabled, want.telemetry.enabled);
+  EXPECT_EQ(got.vc_policy, want.vc_policy);
+  EXPECT_EQ(got.scheme, want.scheme);
+  EXPECT_EQ(got.pattern, want.pattern);
+  EXPECT_EQ(got.hotspot_node, want.hotspot_node);
+  EXPECT_EQ(got.incast_fanin, want.incast_fanin);
+}
+
+/// Any corrupted byte must fail decode, not deliver a different record.
+/// Flips every byte of the container header (magic, version, fingerprint,
+/// section count: 24 bytes) and every 11th byte after it.
+template <typename Decode>
+void ExpectEveryFlipThrows(const std::string& payload, Decode decode) {
+  for (std::size_t i = 0; i < payload.size(); i += i < 24 ? 1 : 11) {
     std::string bad = payload;
     bad[i] = static_cast<char>(bad[i] ^ 0x20);
-    EXPECT_THROW((void)DecodeRequest(bad), SimError) << "byte " << i;
+    EXPECT_THROW(decode(bad), SimError) << "byte " << i;
   }
+}
+
+/// A hand-built frame: `words` u64s in `section`, stamped with `fp`.
+std::string HandFrame(const char* section, int words, std::uint64_t fp) {
+  SnapshotWriter w;
+  w.BeginSection(section);
+  for (int i = 0; i < words; ++i) w.U64(static_cast<std::uint64_t>(i));
+  w.EndSection();
+  return w.Finish(fp);
+}
+
+TEST(ServerProtocolTest, PointRequestRoundTripsAndAuthenticates) {
+  const ExecTag tag{17, 3};
+  for (const NetworkSimConfig& config :
+       {ShortConfig(0.07, 42), NonDefaultConfig(), SerenadeIncastConfig()}) {
+    for (const ExecTag* sent : {static_cast<const ExecTag*>(nullptr), &tag}) {
+      const std::string payload = EncodePointRequest(config, sent);
+      // The daemon's view: the "exec" section rides along unread.
+      const Request req = DecodeRequest(payload);
+      EXPECT_EQ(req.kind, RequestKind::kPoint);
+      ASSERT_EQ(req.configs.size(), 1u);
+      ExpectSameWireConfig(req.configs[0], config);
+      // The worker's view, through the same decoder: config plus tag.
+      SnapshotReader r(payload);
+      ExecTag got{99, 99};
+      const std::optional<NetworkSimConfig> worker = LoadPointRequest(r, &got);
+      ASSERT_TRUE(worker.has_value());
+      ExpectSameWireConfig(*worker, config);
+      EXPECT_EQ(got.index, sent != nullptr ? 17u : 0u);
+      EXPECT_EQ(got.attempt, sent != nullptr ? 3u : 0u);
+    }
+  }
+
+  // Live factory callbacks have no serialized form: refused at encode.
+  NetworkSimConfig topology = ShortConfig();
+  topology.topology_factory = [] { return MakeMesh(4, 4); };
+  EXPECT_THROW((void)EncodePointRequest(topology), SimError);
+  NetworkSimConfig routing = ShortConfig();
+  routing.routing_factory =
+      [](const Topology&) -> std::unique_ptr<RoutingAlgorithm> {
+    return nullptr;
+  };
+  EXPECT_THROW((void)EncodePointRequest(routing), SimError);
+
+  ExpectEveryFlipThrows(EncodePointRequest(ShortConfig(0.07, 42)),
+                        [](const std::string& b) { (void)DecodeRequest(b); });
 }
 
 TEST(ServerProtocolTest, BatchAndControlFramesRoundTrip) {
@@ -117,6 +227,19 @@ TEST(ServerProtocolTest, BatchAndControlFramesRoundTrip) {
   EXPECT_EQ(DecodeRequest(EncodeShutdownRequest()).kind,
             RequestKind::kShutdown);
 
+  // Control requests are authenticated: an empty section under the
+  // control fingerprint decodes; a foreign fingerprint or a payload byte
+  // in the section is refused.
+  const std::uint64_t control = ControlFrameFingerprint();
+  EXPECT_EQ(DecodeRequest(HandFrame("vixd_stats", 0, control)).kind,
+            RequestKind::kStats);
+  for (const char* section : {"vixd_stats", "vixd_shutdown"}) {
+    EXPECT_THROW(DecodeRequest(HandFrame(section, 0, control ^ 1)), SimError)
+        << section;
+    EXPECT_THROW(DecodeRequest(HandFrame(section, 1, control)), SimError)
+        << section;
+  }
+
   // A checksum-valid frame whose count claims UINT32_MAX points with no
   // bytes behind it is refused before anything is reserved for it.
   SnapshotWriter hostile;
@@ -130,14 +253,17 @@ TEST(ServerProtocolTest, PointReplyRoundTripsWithAndWithoutResult) {
   const NetworkSimConfig config = ShortConfig();
   PointReply ok;
   ok.status = ServeStatus::kOk;
-  ok.source = ServeSource::kStore;
   ok.result_key = NetworkSimResultKey(config);
   ok.result = RunNetworkSim(config);
-  const PointReply ok2 = DecodePointReply(EncodePointReply(ok));
-  EXPECT_EQ(ok2.status, ServeStatus::kOk);
-  EXPECT_EQ(ok2.source, ServeSource::kStore);
-  EXPECT_EQ(ok2.result_key, ok.result_key);
-  EXPECT_EQ(Bytes(ok2.result), Bytes(ok.result));
+  // kStore is a daemon hit; kComputed is also the sweep worker's reply.
+  for (const ServeSource source : {ServeSource::kStore, ServeSource::kComputed}) {
+    ok.source = source;
+    const PointReply ok2 = DecodePointReply(EncodePointReply(ok));
+    EXPECT_EQ(ok2.status, ServeStatus::kOk);
+    EXPECT_EQ(ok2.source, source);
+    EXPECT_EQ(ok2.result_key, ok.result_key);
+    EXPECT_EQ(Bytes(ok2.result), Bytes(ok.result));
+  }
 
   PointReply retry;
   retry.status = ServeStatus::kRetryAfter;
@@ -149,6 +275,18 @@ TEST(ServerProtocolTest, PointReplyRoundTripsWithAndWithoutResult) {
   EXPECT_EQ(retry2.message, "at capacity");
   EXPECT_TRUE(IsPointReply(EncodePointReply(retry)));
   EXPECT_FALSE(IsPointReply(EncodeStatsReply(DaemonStats{})));
+
+  const std::vector<PointReply> both =
+      DecodeBatchReply(EncodeBatchReply({ok, retry}));
+  ASSERT_EQ(both.size(), 2u);
+  EXPECT_EQ(Bytes(both[0].result), Bytes(ok.result));
+  EXPECT_EQ(both[1].message, "at capacity");
+
+  ExpectEveryFlipThrows(EncodePointReply(ok), [](const std::string& b) {
+    (void)DecodePointReply(b);
+  });
+  ExpectEveryFlipThrows(EncodeBatchReply({ok, retry}),
+                        [](const std::string& b) { (void)DecodeBatchReply(b); });
 }
 
 TEST(ServerProtocolTest, StatsReplyRoundTrips) {
@@ -169,6 +307,22 @@ TEST(ServerProtocolTest, StatsReplyRoundTrips) {
   EXPECT_EQ(d.computed_points, 8u);
   EXPECT_EQ(d.coalesced_points, 2u);
   EXPECT_EQ(d.store_bytes_written, 12'345u);
+
+  // Control replies are authenticated like control requests: the 16
+  // counters under the control fingerprint decode; a foreign fingerprint
+  // or a trailing payload word is refused. Same for the shutdown reply.
+  const std::uint64_t control = ControlFrameFingerprint();
+  EXPECT_EQ(DecodeStatsReply(HandFrame("vixd_dstats", 16, control)).store_gc_evicted,
+            15u);
+  EXPECT_THROW(DecodeStatsReply(HandFrame("vixd_dstats", 16, control ^ 1)),
+               SimError);
+  EXPECT_THROW(DecodeStatsReply(HandFrame("vixd_dstats", 17, control)),
+               SimError);
+  EXPECT_NO_THROW(DecodeShutdownReply(EncodeShutdownReply()));
+  EXPECT_THROW(DecodeShutdownReply(HandFrame("vixd_bye", 0, control ^ 1)),
+               SimError);
+  EXPECT_THROW(DecodeShutdownReply(HandFrame("vixd_bye", 1, control)),
+               SimError);
 }
 
 // ---------------------------------------------------------------------------
