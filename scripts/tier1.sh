@@ -6,9 +6,10 @@
 #     which drives SweepRunner at 1/2/8 threads — any data race in the
 #     parallel sweep path fails the script;
 #  3. ASan+UBSan build (-DVIXNOC_SANITIZE=address,undefined) running the
-#     fault/robustness/sweep tests — the error-recovery paths (SimError
-#     unwinding out of half-built networks, watchdog aborts mid-run,
-#     fault-schedule sampling) are exactly where leaks and UB would hide;
+#     fault/robustness/sweep/checkpoint tests — the error-recovery paths
+#     (SimError unwinding out of half-built networks, watchdog aborts
+#     mid-run, fault-schedule sampling, restores from hostile bytes) are
+#     exactly where leaks and UB would hide;
 #  4. telemetry gate: telemetry_test (pins bitwise identity of
 #     telemetry-off runs against frozen goldens AND off-vs-on identity),
 #     then a bench_ext_telemetry run whose JSONL packet trace is
@@ -80,7 +81,7 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVIXNOC_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
   sweep_test alloc_equiv_test exec_test routing_test serenade_test \
-  store_test server_test
+  store_test server_test snapshot_test trace_test
 "${PREFIX}-asan/tests/fault_test"
 "${PREFIX}-asan/tests/robustness_test"
 "${PREFIX}-asan/tests/sweep_test"
@@ -98,6 +99,12 @@ cmake --build "${PREFIX}-asan" -j --target fault_test robustness_test \
 # SIGTERMs is the ASan build.
 "${PREFIX}-asan/tests/store_test"
 "${PREFIX}-asan/tests/server_test"
+# snapshot_test/trace_test under ASan+UBSan cover the checkpoint restore
+# decoders on hostile bytes (oversized wheel-slot and telemetry-window
+# counts, a replay cursor past the trace's end): each must throw SimError
+# before allocating, and the trace-fed simulation loop end to end.
+"${PREFIX}-asan/tests/snapshot_test"
+"${PREFIX}-asan/tests/trace_test"
 
 echo "== tier1: telemetry gate (${PREFIX}) =="
 # telemetry_test asserts (a) telemetry-off results are bitwise identical to

@@ -557,9 +557,10 @@ void Network::LoadState(SnapshotReader& r) {
   std::uint64_t counted = 0;
   for (auto& slot : wheel_) {
     slot.clear();
-    const std::uint32_t n = r.U32();
+    // kind u8, target/port/vc i32, then a flit of at least 56 bytes.
+    const std::size_t n = r.CountU32(1 + 3 * 4 + 56);
     slot.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       Event ev;
       const std::uint8_t kind = r.U8();
       VIXNOC_REQUIRE(kind <= static_cast<std::uint8_t>(Event::Kind::kCreditToNi),
@@ -582,8 +583,8 @@ void Network::LoadState(SnapshotReader& r) {
   for (NodeCounters& c : counters_) LoadNodeCounters(r, &c);
   for (Ni& ni : nis_) {
     ni.source_queue.clear();
-    const std::uint32_t nq = r.U32();
-    for (std::uint32_t i = 0; i < nq; ++i) {
+    const std::size_t nq = r.CountU32(8 + 4 + 4 + 8 + 8 + 4);
+    for (std::size_t i = 0; i < nq; ++i) {
       PendingPacket p;
       p.id = r.U64();
       p.dst = r.I32();
@@ -594,9 +595,9 @@ void Network::LoadState(SnapshotReader& r) {
       ni.source_queue.push_back(std::move(p));
     }
     ni.active.clear();
-    const std::uint32_t na = r.U32();
+    const std::size_t na = r.CountU32(4 * 8 + 6 * 4);
     ni.active.reserve(na);
-    for (std::uint32_t i = 0; i < na; ++i) {
+    for (std::size_t i = 0; i < na; ++i) {
       ActiveTx tx;
       tx.id = r.U64();
       tx.dst = r.I32();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,14 +14,39 @@
 #include "snapshot/snapshot.hpp"
 #include "snapshot/state_io.hpp"
 #include "traffic/injection.hpp"
+#include "traffic/trace.hpp"
 
 namespace vixnoc {
 
 namespace {
 
-/// Encoded size of one IntervalSample: start, accepted_ppc, avg_latency,
-/// packets — four 8-byte fields.
-constexpr std::size_t kIntervalSampleBytes = 4 * 8;
+/// The one encoding of the sample timeline, shared by checkpoints and
+/// encoded results: a u32 count, then four 8-byte fields per sample.
+void SaveTimeline(SnapshotWriter& w,
+                  const std::vector<IntervalSample>& timeline) {
+  w.U32(static_cast<std::uint32_t>(timeline.size()));
+  for (const IntervalSample& s : timeline) {
+    w.U64(s.start);
+    w.F64(s.accepted_ppc);
+    w.F64(s.avg_latency);
+    w.U64(s.packets);
+  }
+}
+
+std::vector<IntervalSample> LoadTimeline(SnapshotReader& r) {
+  const std::size_t n = r.CountU32(4 * 8);
+  std::vector<IntervalSample> timeline;
+  timeline.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    IntervalSample s;
+    s.start = r.U64();
+    s.accepted_ppc = r.F64();
+    s.avg_latency = r.F64();
+    s.packets = r.U64();
+    timeline.push_back(s);
+  }
+  return timeline;
+}
 
 /// Scalar aggregates of a TelemetrySummary (windows and trace are handled
 /// by the callers: the checkpoint stores the collector's live state, the
@@ -256,7 +282,8 @@ void ValidateNetworkSimConfig(const NetworkSimConfig& config) {
   }
 }
 
-NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
+NetworkSimResult RunNetworkSim(const NetworkSimConfig& config,
+                               const PacketTrace* trace) {
   // Attributes any abort or SimError below to the offending sim point.
   ScopedSimContext sim_ctx(
       "scheme=%s topology=%s rate=%g seed=%llu",
@@ -326,23 +353,40 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
   Network net(topology, params);
   const int num_nodes = net.NumNodes();
 
+  // Traffic source: the trace's records when replaying one, else the
+  // injection process drawing sources and the pattern drawing destinations.
   PatternOptions pattern_opts;
   pattern_opts.hotspot_node = config.hotspot_node;
   pattern_opts.incast_fanin = config.incast_fanin;
   auto pattern = MakePattern(config.pattern, pattern_opts);
   Rng rng(config.seed);
   std::unique_ptr<InjectionProcess> injector;
-  if (config.bursty) {
+  std::optional<TraceReplayer> replayer;
+  if (trace != nullptr) {
+    for (const TraceRecord& rec : trace->records()) {
+      VIXNOC_REQUIRE(rec.src >= 0 && rec.src < num_nodes && rec.dst >= 0 &&
+                         rec.dst < num_nodes,
+                     "trace record at cycle %llu names node %d -> %d, "
+                     "outside this network's %d nodes",
+                     static_cast<unsigned long long>(rec.cycle), rec.src,
+                     rec.dst, num_nodes);
+    }
+    replayer.emplace(*trace);
+  } else if (config.bursty) {
     injector = std::make_unique<OnOffInjection>(
         num_nodes, config.injection_rate, config.burst_on_rate,
         config.mean_burst_cycles);
   } else {
     injector = std::make_unique<BernoulliInjection>(config.injection_rate);
   }
+  const std::string source_name = replayer ? "trace" : injector->Name();
 
   const Cycle measure_start = config.warmup;
   const Cycle measure_end = config.warmup + config.measure;
-  const Cycle sim_end = measure_end + config.drain;
+  // A trace run ends `drain` cycles after its last record, or as soon as
+  // the trace is spent and the network empty.
+  const Cycle sim_end = replayer ? trace->LastCycle() + config.drain + 1
+                                 : measure_end + config.drain;
 
   RunningStat latency;
   RunningStat net_latency;
@@ -374,20 +418,61 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
   NetworkSimResult result;
   SimOutcome outcome;
 
+  const auto close_measure_window = [&] {
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      at_measure_end[n] = net.counters(n);
+    }
+    activity_snapshot = net.TotalActivity();
+    measure_window_closed = true;
+    // Counter aggregates are frozen here; windows and trace (snapshotted
+    // again after the loop) keep running through the drain.
+    if (telemetry != nullptr) result.telemetry = telemetry->Summarize();
+  };
+
+  // Trace records and drawn packets pass the same fault-reachability gate.
+  const auto offer = [&](Cycle t, NodeId src, NodeId dst, int size_flits) {
+    if (routing_algo->MayBeUnreachable() &&
+        !routing_algo->Reachable(net.topology().RouterOfNode(src), dst)) {
+      ++outcome.unreachable_packets;
+      return;
+    }
+    net.EnqueuePacket(src, dst, size_flits);
+    if (t >= measure_start && t < measure_end) ++offered_packets;
+  };
+
+  // Rolling pre-deadlock snapshots: two alternating in-memory blobs, so
+  // that when the watchdog fires the older one is guaranteed to predate
+  // the detection point by at least one full watchdog window.
+  const bool rolling_enabled = config.watchdog_cycles > 0 &&
+                               !config.deadlock_checkpoint_path.empty();
+  std::string rolling_prev;
+  std::string rolling_cur;
+
   // --- Checkpoint/restore (snapshot/) ------------------------------------
   // A checkpoint captures the state *before* any work of cycle `next`, so
   // a restored run re-executes iteration `next` in full and every
   // downstream decision — sampling, measurement snapshots, injection draws,
   // router arbitration — replays bitwise identically. Serialization only
-  // reads state (no RNG draws), so saving never perturbs the run.
-  const std::uint64_t config_fp = NetworkSimConfigFingerprint(config);
+  // reads state (no RNG draws), so saving never perturbs the run. A trace
+  // is the injection process of its run, so its text is folded into the
+  // fingerprint: restoring against different records is refused.
+  std::uint64_t config_fp = NetworkSimConfigFingerprint(config);
+  if (replayer && (config.checkpoint_every > 0 ||
+                   !config.restore_path.empty() || rolling_enabled)) {
+    const std::string text = trace->ToText();
+    config_fp = Fnv1a64(text.data(), text.size(), config_fp);
+  }
   const auto serialize_sim = [&](Cycle next) {
     SnapshotWriter w;
     w.BeginSection("sim");
     w.U64(next);
     SaveRng(w, rng);
-    w.Str(injector->Name());
-    injector->SaveState(w);
+    w.Str(source_name);
+    if (replayer) {
+      w.U64(replayer->position());
+    } else {
+      injector->SaveState(w);
+    }
     SaveRunningStat(w, latency);
     SaveRunningStat(w, net_latency);
     SaveHistogram(w, latency_hist);
@@ -400,13 +485,7 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
     for (const NodeCounters& c : at_measure_start) SaveNodeCounters(w, c);
     for (const NodeCounters& c : at_measure_end) SaveNodeCounters(w, c);
     SaveRouterActivity(w, activity_snapshot);
-    w.U32(static_cast<std::uint32_t>(result.timeline.size()));
-    for (const IntervalSample& s : result.timeline) {
-      w.U64(s.start);
-      w.F64(s.accepted_ppc);
-      w.F64(s.avg_latency);
-      w.U64(s.packets);
-    }
+    SaveTimeline(w, result.timeline);
     w.U64(outcome.unreachable_packets);
     // The counter aggregates frozen at measure_end (windows and trace are
     // re-read from the collector after the loop).
@@ -430,8 +509,8 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
     SnapshotReader r(ReadSnapshotFile(config.restore_path));
     VIXNOC_REQUIRE(r.fingerprint() == config_fp,
                    "checkpoint '%s' was taken under a different simulation "
-                   "config (fingerprint %016llx, this config is %016llx)",
-                   config.restore_path.c_str(),
+                   "config%s (fingerprint %016llx, this run is %016llx)",
+                   config.restore_path.c_str(), replayer ? " or trace" : "",
                    static_cast<unsigned long long>(r.fingerprint()),
                    static_cast<unsigned long long>(config_fp));
     r.OpenSection("sim");
@@ -442,12 +521,16 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
                    static_cast<unsigned long long>(start_cycle),
                    static_cast<unsigned long long>(sim_end));
     LoadRng(r, &rng);
-    const std::string injector_name = r.Str();
-    VIXNOC_REQUIRE(injector_name == injector->Name(),
-                   "checkpoint used injection process '%s', this config "
+    const std::string checkpoint_source = r.Str();
+    VIXNOC_REQUIRE(checkpoint_source == source_name,
+                   "checkpoint used traffic source '%s', this config "
                    "builds '%s'",
-                   injector_name.c_str(), injector->Name().c_str());
-    injector->LoadState(r);
+                   checkpoint_source.c_str(), source_name.c_str());
+    if (replayer) {
+      replayer->set_position(r.U64());
+    } else {
+      injector->LoadState(r);
+    }
     LoadRunningStat(r, &latency);
     LoadRunningStat(r, &net_latency);
     LoadHistogram(r, &latency_hist);
@@ -460,16 +543,7 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
     for (NodeCounters& c : at_measure_start) LoadNodeCounters(r, &c);
     for (NodeCounters& c : at_measure_end) LoadNodeCounters(r, &c);
     activity_snapshot = LoadRouterActivity(r);
-    const std::size_t nts = r.CountU32(kIntervalSampleBytes);
-    result.timeline.reserve(nts);
-    for (std::size_t i = 0; i < nts; ++i) {
-      IntervalSample s;
-      s.start = r.U64();
-      s.accepted_ppc = r.F64();
-      s.avg_latency = r.F64();
-      s.packets = r.U64();
-      result.timeline.push_back(s);
-    }
+    result.timeline = LoadTimeline(r);
     outcome.unreachable_packets = r.U64();
     if (r.B()) LoadTelemetryScalars(r, &result.telemetry);
     r.CloseSection();
@@ -482,14 +556,6 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
       r.CloseSection();
     }
   }
-
-  // Rolling pre-deadlock snapshots: two alternating in-memory blobs, so
-  // that when the watchdog fires the older one is guaranteed to predate
-  // the detection point by at least one full watchdog window.
-  const bool rolling_enabled = config.watchdog_cycles > 0 &&
-                               !config.deadlock_checkpoint_path.empty();
-  std::string rolling_prev;
-  std::string rolling_cur;
 
   for (Cycle t = start_cycle; t < sim_end; ++t) {
     if (config.checkpoint_every > 0 && t > 0 && t != start_cycle &&
@@ -520,31 +586,21 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
       net.ClearActivity();
       if (telemetry != nullptr) telemetry->ResetCounters();
     }
-    if (t == measure_end) {
-      for (NodeId n = 0; n < num_nodes; ++n) {
-        at_measure_end[n] = net.counters(n);
+    if (t == measure_end) close_measure_window();
+    if (replayer) {
+      for (const TraceRecord& rec : replayer->TakeDue(t)) {
+        offer(t, rec.src, rec.dst, rec.size_flits);
       }
-      activity_snapshot = net.TotalActivity();
-      measure_window_closed = true;
-      // Counter aggregates are frozen here; windows and trace (snapshotted
-      // again after the loop) keep running through the drain.
-      if (telemetry != nullptr) result.telemetry = telemetry->Summarize();
-    }
-    // Injection at every node, including during drain (holding the load
-    // keeps measured packets under realistic contention).
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (injector->ShouldInject(n, rng)) {
-        // Draw the destination before the reachability gate so the RNG
-        // stream — and therefore every reachable packet — is identical to
-        // the fault-free run.
-        const NodeId dst = pattern->Dest(n, num_nodes, rng);
-        if (routing_algo->MayBeUnreachable() &&
-            !routing_algo->Reachable(net.topology().RouterOfNode(n), dst)) {
-          ++outcome.unreachable_packets;
-          continue;
+    } else {
+      // Injection at every node, including during drain (holding the load
+      // keeps measured packets under realistic contention).
+      for (NodeId n = 0; n < num_nodes; ++n) {
+        if (injector->ShouldInject(n, rng)) {
+          // Draw the destination before the reachability gate so the RNG
+          // stream — and therefore every reachable packet — is identical to
+          // the fault-free run.
+          offer(t, n, pattern->Dest(n, num_nodes, rng), config.packet_size);
         }
-        net.EnqueuePacket(n, dst, config.packet_size);
-        if (t >= measure_start && t < measure_end) ++offered_packets;
       }
     }
     net.Step();
@@ -569,11 +625,20 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
       }
       break;
     }
+    if (replayer && replayer->Exhausted() && net.Quiescent()) break;
+  }
+  // A trace that (with its drain) ended inside the measurement window
+  // closes the window where the run stopped.
+  if (replayer && !measure_window_closed && outcome.ok()) {
+    close_measure_window();
   }
 
+  const double offered_meas =
+      static_cast<double>(offered_packets) /
+      (static_cast<double>(config.measure) * num_nodes);
   result.num_nodes = num_nodes;
   result.measure_cycles = config.measure;
-  result.offered_ppc = config.injection_rate;
+  result.offered_ppc = replayer ? offered_meas : config.injection_rate;
   result.packets_corrupted = packets_corrupted;
 
   if (telemetry != nullptr) {
@@ -616,9 +681,6 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config) {
     result.avg_net_latency = net_latency.Mean();
     result.p99_latency = latency_hist.Quantile(0.99);
     result.packets_measured = latency.Count();
-    const double offered_meas =
-        static_cast<double>(offered_packets) /
-        (static_cast<double>(config.measure) * num_nodes);
     result.saturated = result.accepted_ppc < 0.95 * offered_meas;
     result.activity = activity_snapshot;
   }
@@ -739,33 +801,10 @@ void SaveNetworkSimResult(SnapshotWriter& w, const NetworkSimResult& r) {
   w.I32(r.num_nodes);
   w.U64(r.packets_corrupted);
   SaveSimOutcome(w, r.outcome);
-  w.U32(static_cast<std::uint32_t>(r.timeline.size()));
-  for (const IntervalSample& s : r.timeline) {
-    w.U64(s.start);
-    w.F64(s.accepted_ppc);
-    w.F64(s.avg_latency);
-    w.U64(s.packets);
-  }
+  SaveTimeline(w, r.timeline);
   SaveTelemetryScalars(w, r.telemetry);
-  w.U32(static_cast<std::uint32_t>(r.telemetry.windows.size()));
-  for (const TelemetryWindow& win : r.telemetry.windows) {
-    w.U64(win.start);
-    w.U64(win.width);
-    w.U64(win.sa_requests);
-    w.U64(win.sa_grants);
-    w.U64(win.vin_conflicts_distinct);
-    w.U64(win.vin_conflicts_same);
-    w.U64(win.packets_ejected);
-  }
-  w.U32(static_cast<std::uint32_t>(r.telemetry.trace.size()));
-  for (const PacketTraceEvent& ev : r.telemetry.trace) {
-    w.U64(ev.packet);
-    w.U8(static_cast<std::uint8_t>(ev.kind));
-    w.U64(ev.cycle);
-    w.I32(ev.router);
-    w.I32(ev.src);
-    w.I32(ev.dst);
-  }
+  SaveTelemetryWindows(w, r.telemetry.windows);
+  SavePacketTraceEvents(w, r.telemetry.trace);
 }
 
 NetworkSimResult LoadNetworkSimResult(SnapshotReader& r) {
@@ -786,47 +825,10 @@ NetworkSimResult LoadNetworkSimResult(SnapshotReader& r) {
   out.num_nodes = r.I32();
   out.packets_corrupted = r.U64();
   out.outcome = LoadSimOutcome(r);
-  const std::size_t nts = r.CountU32(kIntervalSampleBytes);
-  out.timeline.reserve(nts);
-  for (std::size_t i = 0; i < nts; ++i) {
-    IntervalSample s;
-    s.start = r.U64();
-    s.accepted_ppc = r.F64();
-    s.avg_latency = r.F64();
-    s.packets = r.U64();
-    out.timeline.push_back(s);
-  }
+  out.timeline = LoadTimeline(r);
   LoadTelemetryScalars(r, &out.telemetry);
-  const std::size_t nw = r.CountU32(7 * 8);  // seven u64 fields
-  out.telemetry.windows.reserve(nw);
-  for (std::size_t i = 0; i < nw; ++i) {
-    TelemetryWindow win;
-    win.start = r.U64();
-    win.width = r.U64();
-    win.sa_requests = r.U64();
-    win.sa_grants = r.U64();
-    win.vin_conflicts_distinct = r.U64();
-    win.vin_conflicts_same = r.U64();
-    win.packets_ejected = r.U64();
-    out.telemetry.windows.push_back(win);
-  }
-  // packet u64, kind u8, cycle u64, router/src/dst i32
-  const std::size_t nt = r.CountU32(8 + 1 + 8 + 3 * 4);
-  out.telemetry.trace.reserve(nt);
-  for (std::size_t i = 0; i < nt; ++i) {
-    PacketTraceEvent ev;
-    ev.packet = r.U64();
-    const std::uint8_t kind = r.U8();
-    VIXNOC_REQUIRE(kind <= static_cast<std::uint8_t>(
-                               PacketTraceEvent::Kind::kEject),
-                   "restored trace event has invalid kind %u", kind);
-    ev.kind = static_cast<PacketTraceEvent::Kind>(kind);
-    ev.cycle = r.U64();
-    ev.router = r.I32();
-    ev.src = r.I32();
-    ev.dst = r.I32();
-    out.telemetry.trace.push_back(ev);
-  }
+  out.telemetry.windows = LoadTelemetryWindows(r);
+  out.telemetry.trace = LoadPacketTraceEvents(r);
   return out;
 }
 

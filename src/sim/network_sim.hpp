@@ -1,6 +1,8 @@
-// Experiment driver: open-loop statistical-traffic simulations with the
-// standard warmup / measurement / drain methodology. This is the engine
-// behind the paper's Figures 8, 9, 10 and 12.
+// Experiment driver: open-loop simulations with the standard warmup /
+// measurement / drain methodology. This is the engine behind the paper's
+// Figures 8, 9, 10 and 12. Traffic comes from a statistical injection
+// process and pattern, or from a replayed packet trace (sim/trace_sim.hpp);
+// both sources run through the same loop.
 #pragma once
 
 #include <functional>
@@ -18,6 +20,7 @@
 
 namespace vixnoc {
 
+class PacketTrace;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -216,7 +219,11 @@ struct NetworkSimResult {
 /// this itself; it is exported so sweep builders can fail fast.
 void ValidateNetworkSimConfig(const NetworkSimConfig& config);
 
-NetworkSimResult RunNetworkSim(const NetworkSimConfig& config);
+/// The one simulation loop. With `trace` null, traffic is drawn from the
+/// config's injection process and pattern; otherwise `trace`'s records are
+/// the traffic (RunTraceSim in sim/trace_sim.hpp).
+NetworkSimResult RunNetworkSim(const NetworkSimConfig& config,
+                               const PacketTrace* trace = nullptr);
 
 /// FNV-1a fingerprint over the config fields that determine how the
 /// simulation evolves. Stamped into checkpoint files and checked on

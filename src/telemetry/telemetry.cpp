@@ -406,11 +406,10 @@ void RouterTelemetry::LoadState(SnapshotReader& r) {
   sa_grants = r.U64();
 }
 
-void TelemetryCollector::SaveState(SnapshotWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(routers_.size()));
-  for (const RouterTelemetry& rt : routers_) rt.SaveState(w);
-  w.U32(static_cast<std::uint32_t>(windows_.size()));
-  for (const TelemetryWindow& win : windows_) {
+void SaveTelemetryWindows(SnapshotWriter& w,
+                          const std::vector<TelemetryWindow>& windows) {
+  w.U32(static_cast<std::uint32_t>(windows.size()));
+  for (const TelemetryWindow& win : windows) {
     w.U64(win.start);
     w.U64(win.width);
     w.U64(win.sa_requests);
@@ -419,16 +418,30 @@ void TelemetryCollector::SaveState(SnapshotWriter& w) const {
     w.U64(win.vin_conflicts_same);
     w.U64(win.packets_ejected);
   }
-  w.U64(window_width_);
-  w.U64(window_start_);
-  w.U64(last_totals_.sa_requests);
-  w.U64(last_totals_.sa_grants);
-  w.U64(last_totals_.conflicts_distinct);
-  w.U64(last_totals_.conflicts_same);
-  w.U64(last_totals_.packets_ejected);
-  w.U64(packets_ejected_);
-  w.U32(static_cast<std::uint32_t>(trace_.size()));
-  for (const PacketTraceEvent& ev : trace_) {
+}
+
+std::vector<TelemetryWindow> LoadTelemetryWindows(SnapshotReader& r) {
+  const std::size_t n = r.CountU32(7 * 8);  // seven u64 fields
+  std::vector<TelemetryWindow> windows;
+  windows.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    TelemetryWindow win;
+    win.start = r.U64();
+    win.width = r.U64();
+    win.sa_requests = r.U64();
+    win.sa_grants = r.U64();
+    win.vin_conflicts_distinct = r.U64();
+    win.vin_conflicts_same = r.U64();
+    win.packets_ejected = r.U64();
+    windows.push_back(win);
+  }
+  return windows;
+}
+
+void SavePacketTraceEvents(SnapshotWriter& w,
+                           const std::vector<PacketTraceEvent>& events) {
+  w.U32(static_cast<std::uint32_t>(events.size()));
+  for (const PacketTraceEvent& ev : events) {
     w.U64(ev.packet);
     w.U8(static_cast<std::uint8_t>(ev.kind));
     w.U64(ev.cycle);
@@ -438,36 +451,12 @@ void TelemetryCollector::SaveState(SnapshotWriter& w) const {
   }
 }
 
-void TelemetryCollector::LoadState(SnapshotReader& r) {
-  const std::uint32_t nr = r.U32();
-  CheckSameSize(nr, routers_.size(), "router blocks");
-  for (RouterTelemetry& rt : routers_) rt.LoadState(r);
-  const std::uint32_t nw = r.U32();
-  windows_.clear();
-  windows_.reserve(nw);
-  for (std::uint32_t i = 0; i < nw; ++i) {
-    TelemetryWindow win;
-    win.start = r.U64();
-    win.width = r.U64();
-    win.sa_requests = r.U64();
-    win.sa_grants = r.U64();
-    win.vin_conflicts_distinct = r.U64();
-    win.vin_conflicts_same = r.U64();
-    win.packets_ejected = r.U64();
-    windows_.push_back(win);
-  }
-  window_width_ = r.U64();
-  window_start_ = r.U64();
-  last_totals_.sa_requests = r.U64();
-  last_totals_.sa_grants = r.U64();
-  last_totals_.conflicts_distinct = r.U64();
-  last_totals_.conflicts_same = r.U64();
-  last_totals_.packets_ejected = r.U64();
-  packets_ejected_ = r.U64();
-  const std::uint32_t nt = r.U32();
-  trace_.clear();
-  trace_.reserve(nt);
-  for (std::uint32_t i = 0; i < nt; ++i) {
+std::vector<PacketTraceEvent> LoadPacketTraceEvents(SnapshotReader& r) {
+  // packet u64, kind u8, cycle u64, router/src/dst i32
+  const std::size_t n = r.CountU32(8 + 1 + 8 + 3 * 4);
+  std::vector<PacketTraceEvent> events;
+  events.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     PacketTraceEvent ev;
     ev.packet = r.U64();
     const std::uint8_t kind = r.U8();
@@ -479,8 +468,40 @@ void TelemetryCollector::LoadState(SnapshotReader& r) {
     ev.router = r.I32();
     ev.src = r.I32();
     ev.dst = r.I32();
-    trace_.push_back(ev);
+    events.push_back(ev);
   }
+  return events;
+}
+
+void TelemetryCollector::SaveState(SnapshotWriter& w) const {
+  w.U32(static_cast<std::uint32_t>(routers_.size()));
+  for (const RouterTelemetry& rt : routers_) rt.SaveState(w);
+  SaveTelemetryWindows(w, windows_);
+  w.U64(window_width_);
+  w.U64(window_start_);
+  w.U64(last_totals_.sa_requests);
+  w.U64(last_totals_.sa_grants);
+  w.U64(last_totals_.conflicts_distinct);
+  w.U64(last_totals_.conflicts_same);
+  w.U64(last_totals_.packets_ejected);
+  w.U64(packets_ejected_);
+  SavePacketTraceEvents(w, trace_);
+}
+
+void TelemetryCollector::LoadState(SnapshotReader& r) {
+  const std::uint32_t nr = r.U32();
+  CheckSameSize(nr, routers_.size(), "router blocks");
+  for (RouterTelemetry& rt : routers_) rt.LoadState(r);
+  windows_ = LoadTelemetryWindows(r);
+  window_width_ = r.U64();
+  window_start_ = r.U64();
+  last_totals_.sa_requests = r.U64();
+  last_totals_.sa_grants = r.U64();
+  last_totals_.conflicts_distinct = r.U64();
+  last_totals_.conflicts_same = r.U64();
+  last_totals_.packets_ejected = r.U64();
+  packets_ejected_ = r.U64();
+  trace_ = LoadPacketTraceEvents(r);
 }
 
 }  // namespace vixnoc

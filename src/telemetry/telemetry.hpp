@@ -198,6 +198,18 @@ struct TelemetrySummary {
   std::vector<PacketTraceEvent> trace;
 };
 
+/// The one encoding of the window list and of the event trace, shared by
+/// the collector's checkpoint state and by encoded results (`.res` store
+/// entries and wire replies): a u32 count, then the records. The loads
+/// bound the count by the bytes left, so a hostile count throws SimError
+/// before anything is reserved.
+void SaveTelemetryWindows(SnapshotWriter& w,
+                          const std::vector<TelemetryWindow>& windows);
+std::vector<TelemetryWindow> LoadTelemetryWindows(SnapshotReader& r);
+void SavePacketTraceEvents(SnapshotWriter& w,
+                           const std::vector<PacketTraceEvent>& events);
+std::vector<PacketTraceEvent> LoadPacketTraceEvents(SnapshotReader& r);
+
 /// Owns every router's counter block, the window reservoir and the trace
 /// buffer for one simulation. Single-threaded like the Network it observes;
 /// sweeps give each point its own collector.

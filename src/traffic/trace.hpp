@@ -10,11 +10,12 @@
 // cycle; lines starting with '#' are comments.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "common/check.hpp"
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace vixnoc {
@@ -65,10 +66,14 @@ class TraceReplayer {
   void Reset() { next_ = 0; }
 
   /// Replay cursor — records already consumed — for checkpoint/restore.
+  /// A restored cursor comes from bytes this process did not write, so one
+  /// past the end throws SimError.
   std::size_t position() const { return next_; }
-  void set_position(std::size_t pos) {
-    VIXNOC_CHECK(pos <= trace_.size());
-    next_ = pos;
+  void set_position(std::uint64_t pos) {
+    VIXNOC_REQUIRE(pos <= trace_.size(),
+                   "trace replay cursor %llu is past the trace's %zu records",
+                   static_cast<unsigned long long>(pos), trace_.size());
+    next_ = static_cast<std::size_t>(pos);
   }
 
  private:

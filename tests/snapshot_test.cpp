@@ -19,6 +19,7 @@
 #include "sim/sweep.hpp"
 #include "snapshot/snapshot.hpp"
 #include "store/result_store.hpp"
+#include "telemetry/telemetry.hpp"
 #include "topology/topology.hpp"
 
 namespace vixnoc {
@@ -718,6 +719,100 @@ TEST(SweepResume, StaleCacheFromDifferentConfigIsIgnored) {
   EXPECT_EQ(second.resumed_points(), 0u);
   ExpectResultsIdentical(RunNetworkSim(b), rb[0]);
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile counts: a decoded element count larger than the section can hold
+// must throw SimError before anything is reserved on its word, so these
+// pass the same way on any host regardless of its memory.
+
+TEST(HostileCheckpoint, OversizedWheelSlotCountThrows) {
+  NetworkParams params;
+  params.router.radix = 5;
+  params.router.num_vcs = 4;
+  params.router.buffer_depth = 3;
+  Network net(std::shared_ptr<Topology>(MakeMesh(4, 4)), params);
+  SnapshotWriter real;
+  real.BeginSection("network");
+  net.SaveState(real);
+  real.EndSection();
+  SnapshotReader parsed(real.Finish(0));
+  parsed.OpenSection("network");
+
+  SnapshotWriter w;
+  w.BeginSection("network");
+  for (int i = 0; i < 4; ++i) w.U64(parsed.U64());  // now .. in-flight count
+  w.U32(parsed.U32());   // wheel slots: this network's own count
+  w.U32(0xFFFFFFF0u);    // events in the first slot
+  w.EndSection();
+  SnapshotReader r(w.Finish(0));
+  r.OpenSection("network");
+  EXPECT_THROW(net.LoadState(r), SimError);
+}
+
+TEST(HostileCheckpoint, OversizedTelemetryWindowCountThrows) {
+  TelemetryCollector collector{TelemetryConfig{}};
+  SnapshotWriter w;
+  w.BeginSection("telemetry");
+  w.U32(0);             // router blocks: none attached
+  w.U32(0xFFFFFFF0u);   // windows
+  w.EndSection();
+  SnapshotReader r(w.Finish(0));
+  r.OpenSection("telemetry");
+  EXPECT_THROW(collector.LoadState(r), SimError);
+}
+
+// The result codec's bytes are what `.res` store entries and wire replies
+// hold, so they are pinned: a hand-built result with a timeline, telemetry
+// windows and trace events must encode to exactly these bytes.
+TEST(ResultCodec, EncodedBytesArePinned) {
+  NetworkSimResult r;
+  r.offered_ppc = 0.125;
+  r.accepted_ppc = 0.1;
+  r.accepted_fpc = 25.5;
+  r.avg_latency = 41.75;
+  r.avg_net_latency = 30.25;
+  r.p99_latency = 96.0;
+  r.min_node_ppc = 0.0875;
+  r.max_node_ppc = 0.1125;
+  r.max_min_ratio = 0.1125 / 0.0875;
+  r.packets_measured = 12'345;
+  r.saturated = true;
+  r.activity.buffer_writes = 7;
+  r.activity.xbar_traversals = 11;
+  r.activity.sa_grants = 13;
+  r.measure_cycles = 1'000;
+  r.num_nodes = 64;
+  r.packets_corrupted = 3;
+  r.outcome.status = SimStatus::kUndeliverable;
+  r.outcome.message = "2 packets had no surviving path";
+  r.outcome.cycle = 999;
+  r.outcome.router_occupancy = {1, 0, 4};
+  r.outcome.unreachable_packets = 2;
+  r.timeline = {{0, 0.05, 20.5, 160}, {250, 0.0625, 22.0, 200}};
+  r.telemetry.enabled = true;
+  r.telemetry.cycles = 64'000;
+  r.telemetry.sa_grants = 900;
+  r.telemetry.crossbar_utilization = 0.375;
+  r.telemetry.windows = {{0, 256, 40, 30, 2, 1, 9},
+                         {256, 512, 80, 61, 5, 3, 17}};
+  r.telemetry.trace = {
+      {8, PacketTraceEvent::Kind::kInject, 100, -1, 3, 60},
+      {8, PacketTraceEvent::Kind::kSaGrant, 103, 3, 3, 60},
+      {16, PacketTraceEvent::Kind::kEject, 140, -1, 5, 9}};
+
+  SnapshotWriter w;
+  w.BeginSection("result");
+  SaveNetworkSimResult(w, r);
+  w.EndSection();
+  const std::string bytes = w.Finish(0);
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x2cf351eb3ea136a2ull);
+
+  SnapshotReader rd(bytes);
+  rd.OpenSection("result");
+  const NetworkSimResult back = LoadNetworkSimResult(rd);
+  rd.CloseSection();
+  ExpectResultsIdentical(r, back);
 }
 
 }  // namespace

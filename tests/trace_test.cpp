@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sim/trace_sim.hpp"
+#include "snapshot/snapshot.hpp"
+#include "topology/topology.hpp"
 #include "traffic/trace.hpp"
 
 namespace vixnoc {
@@ -197,6 +203,220 @@ TEST(TraceSim, SchemesComparedOnIdenticalTraffic) {
   // Same offered traffic by construction.
   EXPECT_DOUBLE_EQ(base.offered_ppc, vix.offered_ppc);
   EXPECT_GT(vix.accepted_ppc, base.accepted_ppc * 1.05);
+}
+
+// ---------------------------------------------------------------------------
+// A trace run is RunNetworkSim with the trace as its traffic source, so every
+// router knob, routing plugin, validation rule and telemetry applies to it.
+
+PacketTrace KnobTrace() {
+  return GeneratePatternTrace(PatternKind::kUniform, 0.10, 64, 5'000, 4, 7);
+}
+
+NetworkSimConfig KnobConfig() {
+  NetworkSimConfig config;
+  config.scheme = AllocScheme::kVix;
+  config.warmup = 1'000;
+  config.measure = 3'500;
+  config.drain = 1'500;
+  return config;
+}
+
+void ExpectKnobChangesResult(const NetworkSimConfig& changed) {
+  const PacketTrace trace = KnobTrace();
+  const NetworkSimResult base = RunTraceSim(KnobConfig(), trace);
+  const NetworkSimResult other = RunTraceSim(changed, trace);
+  ASSERT_GT(base.packets_measured, 0u);
+  // offered_ppc is the trace's own load, whatever the config's rate says.
+  EXPECT_NEAR(base.offered_ppc, 0.10, 0.005);
+  EXPECT_EQ(base.offered_ppc, other.offered_ppc);
+  EXPECT_NE(base.avg_latency, other.avg_latency);
+}
+
+TEST(TraceSim, PipelineStagesApply) {
+  NetworkSimConfig config = KnobConfig();
+  config.pipeline_stages = 5;
+  ExpectKnobChangesResult(config);
+}
+
+TEST(TraceSim, VixVirtualInputsApply) {
+  NetworkSimConfig config = KnobConfig();
+  config.vix_virtual_inputs = 3;
+  ExpectKnobChangesResult(config);
+}
+
+TEST(TraceSim, VaOrganizationApplies) {
+  NetworkSimConfig config = KnobConfig();
+  config.va_organization = VaOrganization::kSeparableArbitrated;
+  ExpectKnobChangesResult(config);
+}
+
+TEST(TraceSim, RoutingPluginApplies) {
+  NetworkSimConfig config = KnobConfig();
+  config.routing = "adaptive_min";
+  ExpectKnobChangesResult(config);
+}
+
+TEST(TraceSim, TelemetryApplies) {
+  NetworkSimConfig config = KnobConfig();
+  config.telemetry.enabled = true;
+  const NetworkSimResult r = RunTraceSim(config, KnobTrace());
+  EXPECT_TRUE(r.telemetry.enabled);
+  EXPECT_GT(r.telemetry.sa_grants, 0u);
+  EXPECT_FALSE(r.telemetry.windows.empty());
+}
+
+TEST(TraceSim, InvalidConfigIsRejected) {
+  PacketTrace trace;
+  trace.Add({0, 0, 1, 1});
+  NetworkSimConfig config;
+  config.scheme = AllocScheme::kVix;
+  config.num_vcs = 6;
+  config.vix_virtual_inputs = 4;  // does not divide 6 VCs
+  EXPECT_THROW(RunTraceSim(config, trace), SimError);
+}
+
+TEST(TraceSim, RunEndingInsideTheMeasurementWindowClosesItThere) {
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 2'000, 4, 5);
+  NetworkSimConfig config;
+  config.warmup = 500;
+  config.measure = 10'000;  // far past the trace's last record
+  config.drain = 500;
+  const NetworkSimResult r = RunTraceSim(config, trace);
+  EXPECT_TRUE(r.outcome.ok());
+  EXPECT_GT(r.packets_measured, 0u);
+  EXPECT_GT(r.accepted_ppc, 0.0);
+  EXPECT_GT(r.activity.xbar_traversals, 0u);
+}
+
+TEST(TraceSim, RecordNamingANodeOutsideTheNetworkThrows) {
+  // With a dead link, records pass the fault-reachability gate, which
+  // indexes its route table by the destination's router: a node outside
+  // the network must be refused before that lookup.
+  PacketTrace trace;
+  trace.Add({0, 0, 64, 1});  // the mesh has nodes 0..63
+  NetworkSimConfig config;
+  const auto mesh = MakeMesh(8, 8);
+  for (PortId p = 0; p < mesh->Radix(); ++p) {
+    if (mesh->LinksFor(9)[p].neighbor >= 0) {
+      config.faults.forced_link_down.emplace_back(9, p);
+      break;
+    }
+  }
+  ASSERT_TRUE(config.faults.Enabled());
+  EXPECT_THROW(RunTraceSim(config, trace), SimError);
+}
+
+std::string SlurpFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void SpitFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Overwrites the u64 at `offset` in section `name` of a snapshot container
+/// and re-finishes it: the section checksum is recomputed and the
+/// fingerprint kept, so only the patched value is wrong (container layout:
+/// snapshot/snapshot.hpp).
+std::string PatchSectionU64(std::string bytes, const std::string& name,
+                            std::size_t offset, std::uint64_t value) {
+  const auto get = [&](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int i = width - 1; i >= 0; --i) {
+      v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+    }
+    return static_cast<std::size_t>(v);
+  };
+  const auto put = [&](std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+  };
+  std::size_t pos = 8 + 4 + 8;  // magic, version, fingerprint
+  const std::size_t sections = get(pos, 4);
+  pos += 4;
+  for (std::size_t s = 0; s < sections; ++s) {
+    const std::size_t name_len = get(pos, 4);
+    const std::string section = bytes.substr(pos + 4, name_len);
+    pos += 4 + name_len;
+    const std::size_t payload_len = get(pos, 8);
+    pos += 8;
+    if (section == name) {
+      put(pos + offset, value);
+      put(pos + payload_len, Fnv1a64(bytes.data() + pos, payload_len));
+      return bytes;
+    }
+    pos += payload_len + 8;
+  }
+  ADD_FAILURE() << "snapshot has no section " << name;
+  return bytes;
+}
+
+TEST(TraceSim, RestoreRejectsACursorPastTheTraceEnd) {
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 3'000, 4, 13);
+  NetworkSimConfig config;
+  config.warmup = 500;
+  config.measure = 2'000;
+  config.drain = 1'000;
+  const std::string path = ::testing::TempDir() + "/trace_cursor.ckpt";
+  NetworkSimConfig writing = config;
+  writing.checkpoint_path = path;
+  writing.checkpoint_every = 1'000;
+  RunTraceSim(writing, trace);
+
+  // The "sim" section starts: next cycle u64, RNG state, the traffic
+  // source's name ("trace") as a length-prefixed string, replay cursor u64.
+  const std::string bytes = SlurpFile(path);
+  SnapshotReader reader(bytes);
+  reader.OpenSection("sim");
+  reader.U64();
+  for (std::size_t i = 0; i < Rng::State{}.size(); ++i) reader.U64();
+  ASSERT_EQ(reader.Str(), "trace");
+  const std::uint64_t cursor = reader.U64();
+  ASSERT_GT(cursor, 0u);
+  ASSERT_LE(cursor, trace.size());
+  const std::size_t cursor_offset =
+      8 + sizeof(Rng::State) + 8 + std::string("trace").size();
+  ASSERT_EQ(PatchSectionU64(bytes, "sim", cursor_offset, cursor), bytes);
+
+  SpitFile(path, PatchSectionU64(bytes, "sim", cursor_offset,
+                                 trace.size() + 1));
+  NetworkSimConfig resumed = config;
+  resumed.restore_path = path;
+  EXPECT_THROW(RunTraceSim(resumed, trace), SimError);
+  std::remove(path.c_str());
+}
+
+TEST(TraceSim, CheckpointWithTheOldTraceSectionIsRefused) {
+  // Trace checkpoints once had their own "trace_sim" section layout; they
+  // are refused with a SimError, not migrated.
+  const PacketTrace trace = GeneratePatternTrace(
+      PatternKind::kUniform, 0.05, 64, 2'000, 4, 13);
+  NetworkSimConfig config;
+  config.warmup = 500;
+  config.measure = 1'000;
+  config.drain = 500;
+  const std::string text = trace.ToText();
+  SnapshotWriter w;
+  w.BeginSection("trace_sim");
+  w.U64(1'000);  // next cycle
+  w.U64(40);     // replay cursor
+  w.EndSection();
+  w.BeginSection("network");
+  w.EndSection();
+  const std::string path = ::testing::TempDir() + "/trace_legacy.ckpt";
+  WriteSnapshotFile(path, w.Finish(Fnv1a64(text.data(), text.size(),
+                                           NetworkSimConfigFingerprint(config))));
+  NetworkSimConfig resumed = config;
+  resumed.restore_path = path;
+  EXPECT_THROW(RunTraceSim(resumed, trace), SimError);
+  std::remove(path.c_str());
 }
 
 }  // namespace
