@@ -27,8 +27,9 @@
 #     of every result row: crash isolation must not change a single
 #     number;
 #  8. service gate: a real vixnocd daemon is started on a Unix socket and
-#     the same sweep is run twice through vixnoc_client — run 2 must be
-#     served 100% from the content-addressed result store with every
+#     the same sweep is run three times through vixnoc_client — runs 2
+#     and 3 must be served 100% from the content-addressed result store
+#     (run 2 from disk, run 3 from the store's memory tier) with every
 #     result field identical to run 1, and the daemon must drain to a
 #     clean exit 0 on the shutdown frame;
 #  9. perf smoke gate: bench_sim_speed compared against the committed
@@ -242,10 +243,11 @@ else
 fi
 
 echo "== tier1: service gate (${PREFIX}) =="
-# A real vixnocd daemon serves the same sweep twice: run 1 populates the
-# content-addressed store, run 2 must be answered entirely from it with
-# every result field identical, and the shutdown frame must drain the
-# daemon to a clean exit 0 with the socket unlinked.
+# A real vixnocd daemon serves the same sweep three times: run 1 populates
+# the content-addressed store, run 2 must be answered entirely from its
+# files and run 3 entirely from its memory tier, each with every result
+# field identical to run 1, and the shutdown frame must drain the daemon
+# to a clean exit 0 with the socket unlinked.
 VIXNOCD="${PREFIX}/src/app/vixnocd"
 VIXCLIENT="${PREFIX}/src/app/vixnoc_client"
 SVC_DIR="${PREFIX}/service_gate"
@@ -260,27 +262,32 @@ if [ -x "${VIXNOCD}" ] && [ -x "${VIXCLIENT}" ] \
     drain=500)
   "${VIXCLIENT}" "${SWEEP[@]}" "json=${SVC_DIR}/run1.json" >/dev/null
   "${VIXCLIENT}" "${SWEEP[@]}" "json=${SVC_DIR}/run2.json" >/dev/null
+  "${VIXCLIENT}" "${SWEEP[@]}" "json=${SVC_DIR}/run3.json" >/dev/null
   "${VIXCLIENT}" shutdown "socket=${SVC_DIR}/vixd.sock" >/dev/null
   wait "${VIXNOCD_PID}"
   trap - EXIT
   [ ! -e "${SVC_DIR}/vixd.sock" ] || { echo "socket not unlinked"; exit 1; }
-  python3 - "${SVC_DIR}/run1.json" "${SVC_DIR}/run2.json" <<'EOF'
+  python3 - "${SVC_DIR}/run1.json" "${SVC_DIR}/run2.json" \
+      "${SVC_DIR}/run3.json" <<'EOF'
 import json, sys
-run1 = json.load(open(sys.argv[1]))
-run2 = json.load(open(sys.argv[2]))
-assert run1["errors"] == 0 and run2["errors"] == 0, "daemon-side errors"
-assert run2["points"] > 0, "empty sweep"
-assert run2["store_hits"] == run2["points"] and run2["computed"] == 0, (
-    f"run 2 must be 100% store hits: {run2['store_hits']}/{run2['points']} "
-    f"hits, {run2['computed']} computed")
-a, b = run1["results"], run2["results"]
-assert len(a) == len(b), f"point count differs: {len(a)} vs {len(b)}"
-for i, (ra, rb) in enumerate(zip(a, b)):
-    for key in sorted((set(ra) | set(rb)) - {"source"}):
-        assert ra.get(key) == rb.get(key), (
-            f"point {i} field {key!r}: {ra.get(key)!r} != {rb.get(key)!r}")
-print(f"service gate: run 2 served {run2['store_hits']}/{run2['points']} "
-      "points from the store, results identical; daemon drained to exit 0")
+run1, *reruns = (json.load(open(p)) for p in sys.argv[1:])
+assert run1["errors"] == 0, "daemon-side errors in run 1"
+for n, run in enumerate(reruns, start=2):
+    assert run["errors"] == 0, f"daemon-side errors in run {n}"
+    assert run["points"] > 0, "empty sweep"
+    assert run["store_hits"] == run["points"] and run["computed"] == 0, (
+        f"run {n} must be 100% store hits: {run['store_hits']}/"
+        f"{run['points']} hits, {run['computed']} computed")
+    a, b = run1["results"], run["results"]
+    assert len(a) == len(b), f"run {n} point count differs: {len(a)} vs {len(b)}"
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for key in sorted((set(ra) | set(rb)) - {"source"}):
+            assert ra.get(key) == rb.get(key), (
+                f"run {n} point {i} field {key!r}: "
+                f"{ra.get(key)!r} != {rb.get(key)!r}")
+print(f"service gate: runs 2 and 3 served {reruns[-1]['store_hits']}/"
+      f"{reruns[-1]['points']} points from the store, results identical; "
+      "daemon drained to exit 0")
 EOF
 else
   echo "vixnocd/vixnoc_client/python3 not found; skipping service gate"

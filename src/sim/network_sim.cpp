@@ -627,9 +627,10 @@ NetworkSimResult RunNetworkSim(const NetworkSimConfig& config,
     }
     if (replayer && replayer->Exhausted() && net.Quiescent()) break;
   }
-  // A trace that (with its drain) ended inside the measurement window
-  // closes the window where the run stopped.
-  if (replayer && !measure_window_closed && outcome.ok()) {
+  // A run whose loop stopped at or before measure_end closes the window
+  // where it stopped: a statistical run with drain=0 (the loop ends just as
+  // t reaches measure_end), or a trace that with its drain ended inside it.
+  if (!measure_window_closed && outcome.ok()) {
     close_measure_window();
   }
 

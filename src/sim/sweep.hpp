@@ -69,8 +69,8 @@ enum class PointCacheStatus {
 ///
 /// Contract: Load returns kHit only when the cached result is the exact
 /// result `config` would produce (implementations key on
-/// NetworkSimResultKey and must validate on read — a defective entry
-/// warns and reports kDefective, never poisons). Put must not throw: a
+/// NetworkSimResultKey and must validate an entry before first serving
+/// it — a defective entry warns and reports kDefective, never poisons). Put must not throw: a
 /// cache is an accelerator, and a full disk must not fail a sweep.
 /// Implementations must be safe for concurrent calls from many threads.
 class PointCache {

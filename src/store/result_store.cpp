@@ -79,6 +79,7 @@ PointCacheStatus ResultStore::Load(const NetworkSimConfig& config,
     return PointCacheStatus::kMiss;
   }
   const std::uint64_t key = NetworkSimResultKey(config);
+  if (LoadFromMemory(key, out)) return PointCacheStatus::kHit;
   const std::string path = EntryPath(key);
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) {
@@ -86,8 +87,12 @@ PointCacheStatus ResultStore::Load(const NetworkSimConfig& config,
     ++stats_.misses;
     return PointCacheStatus::kMiss;
   }
+  std::shared_ptr<const NetworkSimResult> result;
+  std::uint64_t bytes = 0;
   try {
-    SnapshotReader r(ReadSnapshotFile(path));
+    std::string file = ReadSnapshotFile(path);
+    bytes = file.size();
+    SnapshotReader r(std::move(file));
     VIXNOC_REQUIRE(r.fingerprint() == key,
                    "store entry '%s' carries key %016llx but this config's "
                    "result key is %016llx",
@@ -95,7 +100,7 @@ PointCacheStatus ResultStore::Load(const NetworkSimConfig& config,
                    static_cast<unsigned long long>(r.fingerprint()),
                    static_cast<unsigned long long>(key));
     r.OpenSection("result");
-    *out = LoadNetworkSimResult(r);
+    result = std::make_shared<const NetworkSimResult>(LoadNetworkSimResult(r));
     r.CloseSection();
   } catch (const SimError& e) {
     std::fprintf(stderr,
@@ -113,12 +118,60 @@ PointCacheStatus ResultStore::Load(const NetworkSimConfig& config,
     ++stats_.defective;
     return PointCacheStatus::kDefective;
   }
+  *out = *result;
   // Refresh recency so the LRU-ish GC evicts cold entries first. Best
   // effort: a read-only store directory still serves hits.
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.hits;
+  RememberLocked(key, std::move(result), bytes);
   return PointCacheStatus::kHit;
+}
+
+bool ResultStore::LoadFromMemory(std::uint64_t key, NetworkSimResult* out) {
+  std::shared_ptr<const NetworkSimResult> result;
+  bool refresh_mtime = false;
+  const SteadyTime now = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = memory_.find(key);
+    if (it == memory_.end()) return false;
+    MemoryEntry& e = it->second;
+    lru_.splice(lru_.begin(), lru_, e.lru_pos);
+    if (now - e.touched >= kResultStoreMtimeRefresh) {
+      e.touched = now;
+      refresh_mtime = true;
+    }
+    result = e.result;
+    ++stats_.hits;
+    ++stats_.memory_hits;
+  }
+  // The copy and the (rare) mtime refresh run outside mu_. The entry file
+  // may be gone by now (GC); the refresh is best effort.
+  *out = *result;
+  if (refresh_mtime) {
+    std::error_code ec;
+    fs::last_write_time(EntryPath(key), fs::file_time_type::clock::now(), ec);
+  }
+  return true;
+}
+
+void ResultStore::RememberLocked(std::uint64_t key,
+                                 std::shared_ptr<const NetworkSimResult> result,
+                                 std::uint64_t bytes) {
+  // Two threads may validate the same file at once; the first one in wins.
+  if (bytes > kResultStoreMemoryBytes || memory_.count(key) != 0) return;
+  while (stats_.memory_bytes + bytes > kResultStoreMemoryBytes) {
+    const auto victim = memory_.find(lru_.back());
+    stats_.memory_bytes -= victim->second.bytes;
+    memory_.erase(victim);
+    lru_.pop_back();
+  }
+  lru_.push_front(key);
+  memory_.emplace(key, MemoryEntry{std::move(result), bytes,
+                                   std::chrono::steady_clock::now(),
+                                   lru_.begin()});
+  stats_.memory_bytes += bytes;
 }
 
 void ResultStore::Put(const NetworkSimConfig& config,

@@ -17,20 +17,44 @@
 // are deterministic functions of the key).
 //
 // Trust model: the store is an accelerator, never a correctness input.
-// Load re-validates the container key and checksums; a defective entry
-// (truncated, corrupted, wrong key) warns on stderr, ticks a counter, and
-// reports kDefective so the caller recomputes. Put never throws — a full
-// disk degrades performance, not results.
+// A Load from disk re-validates the container key and checksums; a
+// defective entry (truncated, corrupted, wrong key) warns on stderr, ticks
+// a counter, and reports kDefective so the caller recomputes. Put never
+// throws — a full disk degrades performance, not results.
+//
+// Each entry is validated once per process. A Load that read and validated
+// the file keeps the decoded result in an in-process memory tier, and later
+// Loads of that key are served from it with no file-system call. Put never
+// fills the tier, so a freshly written entry is still checked on its first
+// read. The tier holds at most kResultStoreMemoryBytes of encoded entry
+// bytes, evicting least-recently used entries; an evicted entry is read
+// (and validated) from disk again. A memory hit refreshes the file's mtime
+// at most once per kResultStoreMtimeRefresh, which keeps the GC's recency
+// signal without a syscall on every hit. Once validated, a result is
+// served from memory even if its file is later corrupted, or removed by
+// this or another process's GC: results are deterministic functions of
+// the key, so the validated copy is the right answer either way.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <list>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "sim/network_sim.hpp"
 #include "sim/sweep.hpp"
 
 namespace vixnoc {
+
+/// Byte budget of a ResultStore's in-process memory tier, in encoded entry
+/// bytes. An entry larger than the budget is never kept in memory.
+inline constexpr std::uint64_t kResultStoreMemoryBytes = 16ull << 20;
+
+/// How often a memory hit may refresh its entry file's mtime.
+inline constexpr std::chrono::seconds kResultStoreMtimeRefresh{60};
 
 struct ResultStoreConfig {
   /// Root directory; created (with parents) by the constructor.
@@ -43,9 +67,15 @@ struct ResultStoreConfig {
 };
 
 /// Monotonic counters over the store's lifetime (this process only; the
-/// directory itself may be shared with other processes).
+/// directory itself may be shared with other processes), plus the memory
+/// tier's current size.
 struct ResultStoreStats {
   std::uint64_t hits = 0;
+  /// Hits served from the memory tier (a subset of `hits`).
+  std::uint64_t memory_hits = 0;
+  /// Encoded bytes of the entries resident in the memory tier now; never
+  /// above kResultStoreMemoryBytes.
+  std::uint64_t memory_bytes = 0;
   std::uint64_t misses = 0;
   /// Entries that existed but failed validation and were recomputed.
   std::uint64_t defective = 0;
@@ -79,11 +109,13 @@ class ResultStore : public PointCache {
   std::string EntryPath(const NetworkSimConfig& config) const;
   std::string EntryPath(std::uint64_t key) const;
 
-  // PointCache interface. Load validates the container key + checksums and
-  // refreshes the entry's mtime on a hit (the GC's recency signal). Put is
-  // non-throwing and skips error slots and factory configs (the key only
-  // records factory presence — caching those would let two different
-  // factories collide).
+  // PointCache interface. Load serves a key it has validated before from
+  // the memory tier; otherwise it validates the container key + checksums
+  // of the file and keeps the result in the tier. Either way a hit
+  // refreshes the entry's mtime (the GC's recency signal; from memory, at
+  // most once per kResultStoreMtimeRefresh). Put is non-throwing and skips
+  // error slots and factory configs (the key only records factory
+  // presence — caching those would let two different factories collide).
   PointCacheStatus Load(const NetworkSimConfig& config,
                         NetworkSimResult* out) override;
   void Put(const NetworkSimConfig& config,
@@ -102,12 +134,29 @@ class ResultStore : public PointCache {
   std::uint64_t GarbageCollect();
 
  private:
+  using SteadyTime = std::chrono::steady_clock::time_point;
+  struct MemoryEntry {
+    std::shared_ptr<const NetworkSimResult> result;
+    std::uint64_t bytes = 0;  ///< encoded size, charged against the budget
+    SteadyTime touched;       ///< last mtime refresh of the entry file
+    std::list<std::uint64_t>::iterator lru_pos;
+  };
+
   std::uint64_t GarbageCollectLocked();
+  /// Serves `key` from the memory tier into *out; false when not resident.
+  bool LoadFromMemory(std::uint64_t key, NetworkSimResult* out);
+  /// Adds a validated entry, evicting least-recently used ones to stay
+  /// within kResultStoreMemoryBytes. Requires mu_.
+  void RememberLocked(std::uint64_t key,
+                      std::shared_ptr<const NetworkSimResult> result,
+                      std::uint64_t bytes);
 
   ResultStoreConfig config_;
   mutable std::mutex mu_;
   ResultStoreStats stats_;
   std::uint64_t approx_bytes_ = 0;
+  std::unordered_map<std::uint64_t, MemoryEntry> memory_;
+  std::list<std::uint64_t> lru_;  ///< memory_ keys, most recently used first
 };
 
 /// Relative entry path for a result key: "ab/abcdef0123456789.res".

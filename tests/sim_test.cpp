@@ -47,6 +47,38 @@ TEST(NetworkSim, DeterministicForSameSeed) {
   EXPECT_EQ(a.packets_measured, b.packets_measured);
 }
 
+TEST(NetworkSim, DrainZeroClosesTheMeasurementWindow) {
+  // The window's counters are frozen at measure_end whether the loop runs
+  // on through a drain or stops right there. (Latency is not compared: it
+  // counts only packets ejected before the loop ends.)
+  NetworkSimConfig c = QuickConfig(AllocScheme::kVix, 0.1);
+  c.warmup = 500;
+  c.measure = 1500;
+  c.drain = 0;
+  const auto cut = RunNetworkSim(c);
+  c.drain = 3000;
+  const auto drained = RunNetworkSim(c);
+  ASSERT_TRUE(cut.outcome.ok());
+  EXPECT_GT(cut.accepted_ppc, 0.05);
+  EXPECT_EQ(cut.accepted_ppc, drained.accepted_ppc);
+  EXPECT_EQ(cut.accepted_fpc, drained.accepted_fpc);
+  EXPECT_EQ(cut.min_node_ppc, drained.min_node_ppc);
+  EXPECT_EQ(cut.max_node_ppc, drained.max_node_ppc);
+  const RouterActivity& a = cut.activity;
+  const RouterActivity& b = drained.activity;
+  EXPECT_GT(a.xbar_traversals, 0u);
+  EXPECT_EQ(a.buffer_writes, b.buffer_writes);
+  EXPECT_EQ(a.buffer_reads, b.buffer_reads);
+  EXPECT_EQ(a.xbar_traversals, b.xbar_traversals);
+  EXPECT_EQ(a.link_flits, b.link_flits);
+  EXPECT_EQ(a.sa_requests, b.sa_requests);
+  EXPECT_EQ(a.sa_grants, b.sa_grants);
+  EXPECT_EQ(a.va_requests, b.va_requests);
+  EXPECT_EQ(a.va_grants, b.va_grants);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.cycles_with_requests, b.cycles_with_requests);
+}
+
 TEST(NetworkSim, DifferentSeedsAgreeStatistically) {
   auto c1 = QuickConfig(AllocScheme::kInputFirst, 0.05);
   auto c2 = c1;

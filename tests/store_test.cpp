@@ -6,8 +6,10 @@
 // fingerprint; every possible truncation or corruption of an entry is
 // detected (never served as data); concurrent same-key writers — across
 // real process boundaries — leave a valid entry; GC evicts oldest-first
-// and respects max_bytes; and the SweepRunner/SweepCoordinator resume +
-// dedup behavior layered on the store is exact.
+// and respects max_bytes; the in-process memory tier serves exactly the
+// validated bytes, stays within its budget and is race-free; and the
+// SweepRunner/SweepCoordinator resume + dedup behavior layered on the
+// store is exact.
 #include "store/result_store.hpp"
 
 #include <sys/wait.h>
@@ -19,6 +21,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,6 +249,166 @@ TEST(ResultStoreTest, GarbageCollectionEvictsOldestUntilUnderBound) {
   NetworkSimConfig extra = ShortConfig(0.11);
   bounded.Put(extra, RunNetworkSim(extra));
   EXPECT_LE(bounded.approximate_bytes(), entry_bytes * 2 + entry_bytes / 2);
+  fs::remove_all(dir);
+}
+
+TEST(ResultStoreTest, MemoryHitServesTheValidatedBytes) {
+  const std::string dir = FreshDir("memhit");
+  ResultStore store(dir);
+  // A timeline and telemetry give the result its variable-length parts.
+  NetworkSimConfig config = ShortConfig();
+  config.sample_interval = 100;
+  config.telemetry.enabled = true;
+  const NetworkSimResult fresh = RunNetworkSim(config);
+  ASSERT_FALSE(fresh.timeline.empty());
+  store.Put(config, fresh);
+  // Put never fills the memory tier: the first Load reads the file.
+  EXPECT_EQ(store.stats().memory_bytes, 0u);
+
+  NetworkSimResult from_disk, from_memory;
+  ASSERT_EQ(store.Load(config, &from_disk), PointCacheStatus::kHit);
+  EXPECT_EQ(store.stats().memory_hits, 0u);
+  EXPECT_EQ(store.stats().memory_bytes, fs::file_size(store.EntryPath(config)));
+  ASSERT_EQ(store.Load(config, &from_memory), PointCacheStatus::kHit);
+  EXPECT_EQ(store.stats().hits, 2u);
+  EXPECT_EQ(store.stats().memory_hits, 1u);
+  EXPECT_EQ(Bytes(from_memory), Bytes(from_disk));
+  EXPECT_EQ(Bytes(from_memory), Bytes(fresh));
+  fs::remove_all(dir);
+}
+
+TEST(ResultStoreTest, MemoryHitOutlivesLaterDamageToTheFile) {
+  const std::string dir = FreshDir("memdamage");
+  ResultStore store(dir);
+  const NetworkSimConfig config = ShortConfig();
+  const NetworkSimResult fresh = RunNetworkSim(config);
+  store.Put(config, fresh);
+  NetworkSimResult out;
+  ASSERT_EQ(store.Load(config, &out), PointCacheStatus::kHit);
+
+  // Once validated, the result is served from memory: a corrupted or
+  // removed file changes nothing, and is never decoded.
+  const std::string path = store.EntryPath(config);
+  std::string bad = Slurp(path);
+  for (std::size_t i = 0; i < bad.size(); i += 5) {
+    bad[i] = static_cast<char>(bad[i] ^ 0x5a);
+  }
+  Spit(path, bad);
+  for (int rep = 0; rep < 3; ++rep) {
+    NetworkSimResult again;
+    ASSERT_EQ(store.Load(config, &again), PointCacheStatus::kHit);
+    EXPECT_EQ(Bytes(again), Bytes(fresh));
+  }
+  fs::remove(path);
+  ASSERT_EQ(store.Load(config, &out), PointCacheStatus::kHit);
+  EXPECT_EQ(Bytes(out), Bytes(fresh));
+  EXPECT_EQ(store.stats().memory_hits, 4u);
+  EXPECT_EQ(store.stats().defective, 0u);
+
+  // A second store on the same directory has validated nothing: it sees
+  // the file as it is now.
+  ResultStore other(dir);
+  EXPECT_EQ(other.Load(config, &out), PointCacheStatus::kMiss);
+  fs::remove_all(dir);
+}
+
+TEST(ResultStoreTest, MemoryTierStaysWithinItsByteBudget) {
+  // Synthetic results sized so that three entries fit the budget and the
+  // fourth evicts the least recently used one. Put writes any result, so
+  // no simulation is needed; the timeline's 32-byte samples set the size.
+  const std::string dir = FreshDir("membudget");
+  ResultStore store(dir);
+  const auto config_for = [](int i) {
+    return ShortConfig(0.10, 100 + static_cast<std::uint64_t>(i));
+  };
+  const auto result_for = [](int i) {
+    NetworkSimResult r;
+    r.timeline.resize(kResultStoreMemoryBytes / 3 / 32 - 1024);
+    for (std::size_t k = 0; k < r.timeline.size(); ++k) {
+      r.timeline[k].start = k;
+      r.timeline[k].packets = static_cast<std::uint64_t>(i);
+    }
+    return r;
+  };
+  std::vector<std::string> expected;
+  for (int i = 0; i < 5; ++i) {
+    const NetworkSimResult r = result_for(i);
+    store.Put(config_for(i), r);
+    expected.push_back(Bytes(r));
+  }
+  NetworkSimResult out;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(store.Load(config_for(i), &out), PointCacheStatus::kHit);
+  }
+  const std::uint64_t three = store.stats().memory_bytes;
+  EXPECT_GT(three, kResultStoreMemoryBytes / 2);
+  EXPECT_LE(three, kResultStoreMemoryBytes);
+  // Touch entry 0, so entry 1 is the least recently used.
+  ASSERT_EQ(store.Load(config_for(0), &out), PointCacheStatus::kHit);
+  EXPECT_EQ(store.stats().memory_hits, 1u);
+
+  for (int i = 3; i < 5; ++i) {
+    ASSERT_EQ(store.Load(config_for(i), &out), PointCacheStatus::kHit);
+    EXPECT_EQ(Bytes(out), expected[i]);
+    EXPECT_LE(store.stats().memory_bytes, kResultStoreMemoryBytes);
+  }
+  // Entries 1 and 2 made room; entry 0, used after them, stayed. An
+  // evicted entry is a disk hit again, with the same bytes.
+  std::uint64_t memory_hits = store.stats().memory_hits;
+  ASSERT_EQ(store.Load(config_for(0), &out), PointCacheStatus::kHit);
+  EXPECT_EQ(store.stats().memory_hits, ++memory_hits);
+  EXPECT_EQ(Bytes(out), expected[0]);
+  ASSERT_EQ(store.Load(config_for(1), &out), PointCacheStatus::kHit);
+  EXPECT_EQ(store.stats().memory_hits, memory_hits);
+  EXPECT_EQ(Bytes(out), expected[1]);
+  ASSERT_EQ(store.Load(config_for(1), &out), PointCacheStatus::kHit);
+  EXPECT_EQ(store.stats().memory_hits, memory_hits + 1);
+  EXPECT_EQ(Bytes(out), expected[1]);
+  EXPECT_LE(store.stats().memory_bytes, kResultStoreMemoryBytes);
+  EXPECT_EQ(store.stats().hits, 9u);
+  fs::remove_all(dir);
+}
+
+TEST(ResultStoreTest, ConcurrentLoadsOfOverlappingKeys) {
+  const std::string dir = FreshDir("memrace");
+  auto store = std::make_shared<ResultStore>(dir);
+  std::vector<NetworkSimConfig> configs;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 4; ++i) {
+    configs.push_back(ShortConfig(0.05 + 0.02 * i));
+    const NetworkSimResult r = RunNetworkSim(configs.back());
+    store->Put(configs.back(), r);
+    expected.push_back(Bytes(r));
+  }
+  // Every thread walks all keys from its own starting point, so first
+  // reads (disk, then tier fill) race with memory hits on the same keys.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 25;
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+          const std::size_t i = (k + static_cast<std::size_t>(t)) % 4;
+          NetworkSimResult out;
+          if (store->Load(configs[i], &out) != PointCacheStatus::kHit ||
+              Bytes(out) != expected[i]) {
+            ++wrong[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+  const ResultStoreStats s = store->stats();
+  const std::uint64_t loads = kThreads * kRounds * configs.size();
+  EXPECT_EQ(s.hits, loads);
+  // At most one disk read per key per thread before the tier has it.
+  EXPECT_GE(s.memory_hits, loads - kThreads * configs.size());
+  EXPECT_EQ(s.defective, 0u);
+  EXPECT_LE(s.memory_bytes, kResultStoreMemoryBytes);
   fs::remove_all(dir);
 }
 
